@@ -11,7 +11,7 @@ restarts launchd and its services, and re-runs the app.
 
 Everything printed — the fault log, the kernel tombstone, the recovery
 log, the fsck report, the surviving file contents and both SHA-256
-digests — is reproducible bit-for-bit: the ``crash-determinism`` CI job
+digests — is reproducible bit-for-bit: the ``determinism`` CI job
 runs this script twice under different ``PYTHONHASHSEED`` values and
 diffs the transcripts.  (For errno/signal/delay-style chaos instead of
 whole-machine crashes, see ``examples/fault_injection.py``.)

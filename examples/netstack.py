@@ -16,7 +16,7 @@ latencies differ only by the documented persona/dispatch overhead.
 
 The script ends with the machine's packet-log digest.  Everything here
 is charged virtual time on a seeded scheduler: run it twice and the
-output — digest included — is byte-identical (the ``net-determinism``
+output — digest included — is byte-identical (the ``determinism``
 CI job does exactly that).
 
 Run:  PYTHONPATH=src python examples/netstack.py

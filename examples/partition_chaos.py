@@ -20,7 +20,7 @@ whole failure ladder plays out deterministically:
 
 Everything printed (per-request outcomes, the breaker transition
 timeline, stack drop counters) is reproducible bit-for-bit; the
-``partition-sweep`` CI job runs the full matrix version of this
+``determinism`` CI job runs the full matrix version of this
 (``repro.workloads.partsweep``) twice under different
 ``PYTHONHASHSEED`` values and diffs the transcripts.
 

@@ -16,39 +16,24 @@ discipline actually holds:
 
 Both the :class:`FsckReport` and the :class:`RecoveryLog` are
 byte-comparable documents with SHA-256 digests — the crash determinism
-tests and the ``crash-determinism`` CI job diff them across runs.
+tests and the ``crash`` row of the ``determinism`` CI job diff them
+across runs.
 """
 
 from __future__ import annotations
 
-import hashlib
 from typing import List, Optional
 
+from ..sim.sweep import Document
 from .errno import SyscallError
 from .vfs import Directory, RegularFile
 
 
-class _Document:
-    """A deterministic line-oriented report."""
-
-    def __init__(self) -> None:
-        self.lines: List[str] = []
-
-    def line(self, text: str) -> None:
-        self.lines.append(text)
-
-    def text(self) -> str:
-        return "\n".join(self.lines) + "\n"
-
-    def digest(self) -> str:
-        return hashlib.sha256(self.text().encode()).hexdigest()
-
-
-class RecoveryLog(_Document):
+class RecoveryLog(Document):
     """The byte-comparable whole-reboot transcript (System.reboot)."""
 
 
-class FsckReport(_Document):
+class FsckReport(Document):
     def __init__(self) -> None:
         super().__init__()
         self.ok = True

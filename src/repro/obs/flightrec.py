@@ -21,7 +21,7 @@ whose whole point is surviving that).  Reading the flushed tail consumes
 it, exactly like ``/sys/fs/pstore`` files being deleted after read.
 
 Every line is pure virtual-time + counter data — two same-seed runs
-produce byte-identical tails, which the crash-determinism CI diffs.
+produce byte-identical tails, which the determinism CI job diffs.
 """
 
 from __future__ import annotations

@@ -61,7 +61,6 @@ from .parallel import (
     WorkerError,
     default_jobs,
     fork_available,
-    isolate_call,
     parse_jobs,
     run_cases,
 )
@@ -132,7 +131,6 @@ __all__ = [
     "WorkerError",
     "default_jobs",
     "fork_available",
-    "isolate_call",
     "parse_jobs",
     "run_cases",
     "Trace",

@@ -44,7 +44,6 @@ __all__ = [
     "WorkerError",
     "default_jobs",
     "fork_available",
-    "isolate_call",
     "parse_jobs",
     "run_cases",
 ]
@@ -206,47 +205,3 @@ def run_cases(
         )
     return results
 
-
-def isolate_call(fn: Callable[[], object]) -> object:
-    """Run ``fn()`` in a forked child and return its (picklable) result.
-
-    Benchmark scenario isolation: each scenario measures in a pristine
-    child — no warm caches, interned state, or allocator history leaking
-    from previously-run scenarios — while the child still inherits the
-    parent's imports for free.  Without ``fork`` this degrades to an
-    in-process call.
-    """
-    if not fork_available():
-        return fn()
-    read_fd, write_fd = os.pipe()
-    sys.stdout.flush()
-    sys.stderr.flush()
-    pid = os.fork()
-    if pid == 0:  # child
-        status = 0
-        try:
-            os.close(read_fd)
-            try:
-                _write_frame(write_fd, (True, fn()))
-            except BaseException:
-                _write_frame(write_fd, (False, traceback.format_exc()))
-                status = 1
-            os.close(write_fd)
-        except BaseException:
-            status = 1
-        finally:
-            sys.stdout.flush()
-            sys.stderr.flush()
-            os._exit(status)
-    os.close(write_fd)
-    try:
-        frames = list(_read_frames(read_fd))
-    finally:
-        os.close(read_fd)
-        os.waitpid(pid, 0)
-    if not frames:
-        raise WorkerError("isolated call died without reporting")
-    ok, payload = frames[0]
-    if not ok:
-        raise WorkerError(f"isolated call raised:\n{payload}")
-    return payload

@@ -51,11 +51,12 @@ from typing import Dict, List, Optional, Tuple
 
 from ..binfmt import elf_executable, macho_executable
 from ..kernel.process import UserContext
-from ..kernel.recovery import _Document
 from ..sim.errors import DeadlockError, MachinePanic
 from ..sim.faults import FaultOutcome, FaultPlan, FaultRule
-from ..sim.parallel import parse_jobs, run_cases
+from ..sim import sweep
+from ..sim.parallel import run_cases
 from ..sim.snapshot import Snapshot, SnapshotCache, snapshot_systems
+from . import argv_params
 
 ELF_NOTES = "/data/notes/notesd"
 ELF_VERIFY = "/data/notes/notesck"
@@ -70,10 +71,6 @@ COMMIT_TEXT = b"committed note: exact wherever it exists (rename barrier)\n"
 DRAFT_TEXT = b"careless draft: never synced, may be lost or torn\n"
 
 DEFAULT_MAX_SITES = 8
-
-
-def _params(argv: List[str]) -> Dict:
-    return argv[1] if len(argv) > 1 and isinstance(argv[1], dict) else {}
 
 
 # -- the notes workload (both personas run the same body) ----------------------
@@ -152,11 +149,11 @@ def notes_ios(ctx: UserContext, argv: List[str]) -> int:
 
 
 def verify_android(ctx: UserContext, argv: List[str]) -> int:
-    return _verify_body(ctx.libc, ANDROID_DIR, bool(_params(argv).get("strict")))
+    return _verify_body(ctx.libc, ANDROID_DIR, bool(argv_params(argv).get("strict")))
 
 
 def verify_ios(ctx: UserContext, argv: List[str]) -> int:
-    return _verify_body(ctx.libc, IOS_DIR, bool(_params(argv).get("strict")))
+    return _verify_body(ctx.libc, IOS_DIR, bool(argv_params(argv).get("strict")))
 
 
 def install_notes(system) -> None:
@@ -175,13 +172,17 @@ def install_notes(system) -> None:
 # -- sweep machinery -----------------------------------------------------------
 
 
-class SweepReport(_Document):
-    """The byte-comparable sweep transcript (one line per site)."""
+class SweepReport(sweep.SweepReport):
+    """The byte-comparable sweep transcript (one line per site): each
+    site is a case, and a passed case is a recovered site."""
 
-    def __init__(self) -> None:
-        super().__init__()
-        self.sites = 0
-        self.recovered = 0
+    @property
+    def sites(self) -> int:
+        return self.cases
+
+    @property
+    def recovered(self) -> int:
+        return self.passed
 
 
 #: Boot-snapshot cache: the durable system's thread-free boot half is
@@ -355,10 +356,7 @@ def run_sweep(
         len(sites), one_site, jobs=jobs, prime=_system_snapshot
     )
     for line, ok in results:
-        report.line(line)
-        report.sites += 1
-        if ok:
-            report.recovered += 1
+        report.case(line, ok)
     report.line(
         f"crashsweep: {report.recovered}/{report.sites} site(s) recovered"
     )
@@ -366,51 +364,9 @@ def run_sweep(
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    import json
-    import sys
-    import time
-
-    args = list(sys.argv[1:] if argv is None else argv)
-    usage = (
-        "usage: python -m repro.workloads.crashsweep "
-        "[max_sites|all] [--jobs N] [--timings FILE]"
+    return sweep.main(
+        "crashsweep", run_sweep, DEFAULT_MAX_SITES, argv, arg="max_sites|all"
     )
-    max_sites: Optional[int] = DEFAULT_MAX_SITES
-    jobs = 1
-    timings_path: Optional[str] = None
-    try:
-        while args:
-            arg = args.pop(0)
-            if arg == "--jobs":
-                jobs = parse_jobs(args.pop(0))
-            elif arg == "--timings":
-                timings_path = args.pop(0)
-            elif arg == "all":
-                max_sites = None
-            else:
-                max_sites = int(arg)
-    except (IndexError, ValueError):
-        print(usage, file=sys.stderr)
-        return 2
-    start = time.perf_counter()
-    report = run_sweep(max_sites, jobs=jobs)
-    wall_seconds = time.perf_counter() - start
-    print(report.text(), end="")
-    print(f"sweep sha256: {report.digest()}")
-    if timings_path is not None:
-        with open(timings_path, "w") as fh:
-            json.dump(
-                {
-                    "harness": "crashsweep",
-                    "jobs": jobs,
-                    "sites": report.sites,
-                    "wall_seconds": round(wall_seconds, 3),
-                },
-                fh,
-                sort_keys=True,
-            )
-            fh.write("\n")
-    return 0 if report.recovered == report.sites else 1
 
 
 if __name__ == "__main__":

@@ -24,6 +24,7 @@ from ..kernel.files import O_RDONLY, O_WRONLY
 from ..kernel.process import UserContext
 from ..kernel.signals import SIGUSR1
 from ..compat.signals import XNU_SIGUSR1
+from . import argv_params
 
 DEFAULT_ITERS = 10
 
@@ -32,12 +33,8 @@ ELF_DIR = "/data/lmbench"
 MACHO_DIR = "/data/lmbench-ios"
 
 
-def _params(argv: List[str]) -> Dict:
-    return argv[1] if len(argv) > 1 and isinstance(argv[1], dict) else {}
-
-
 def _report(argv: List[str], key: str, value: float) -> None:
-    params = _params(argv)
+    params = argv_params(argv)
     out = params.get("out")
     if isinstance(out, dict):
         out[key] = value
@@ -48,7 +45,7 @@ def _report(argv: List[str], key: str, value: float) -> None:
 
 def bench_ops(ctx: UserContext, argv: List[str]) -> int:
     """lat_ops: integer multiply/divide, double add/multiply, bogomflops."""
-    params = _params(argv)
+    params = argv_params(argv)
     iters = params.get("iters", 200)
     watch = ctx.machine.stopwatch()
     for op_key, cost_name in (
@@ -73,7 +70,7 @@ def bench_ops(ctx: UserContext, argv: List[str]) -> int:
 
 def bench_null_syscall(ctx: UserContext, argv: List[str]) -> int:
     """lat_syscall null: getppid in a loop."""
-    iters = _params(argv).get("iters", DEFAULT_ITERS)
+    iters = argv_params(argv).get("iters", DEFAULT_ITERS)
     libc = ctx.libc
     watch = ctx.machine.stopwatch()
     for _ in range(iters):
@@ -84,7 +81,7 @@ def bench_null_syscall(ctx: UserContext, argv: List[str]) -> int:
 
 def bench_read(ctx: UserContext, argv: List[str]) -> int:
     """lat_syscall read: one byte from /dev/zero."""
-    iters = _params(argv).get("iters", DEFAULT_ITERS)
+    iters = argv_params(argv).get("iters", DEFAULT_ITERS)
     libc = ctx.libc
     fd = libc.open("/dev/zero", O_RDONLY)
     watch = ctx.machine.stopwatch()
@@ -97,7 +94,7 @@ def bench_read(ctx: UserContext, argv: List[str]) -> int:
 
 def bench_write(ctx: UserContext, argv: List[str]) -> int:
     """lat_syscall write: one byte to /dev/null."""
-    iters = _params(argv).get("iters", DEFAULT_ITERS)
+    iters = argv_params(argv).get("iters", DEFAULT_ITERS)
     libc = ctx.libc
     fd = libc.open("/dev/null", O_WRONLY)
     watch = ctx.machine.stopwatch()
@@ -110,7 +107,7 @@ def bench_write(ctx: UserContext, argv: List[str]) -> int:
 
 def bench_open_close(ctx: UserContext, argv: List[str]) -> int:
     """lat_syscall open: open+close an existing file."""
-    iters = _params(argv).get("iters", DEFAULT_ITERS)
+    iters = argv_params(argv).get("iters", DEFAULT_ITERS)
     libc = ctx.libc
     fd = libc.creat("/tmp/lmbench.f")
     libc.close(fd)
@@ -125,7 +122,7 @@ def bench_open_close(ctx: UserContext, argv: List[str]) -> int:
 
 def bench_signal(ctx: UserContext, argv: List[str]) -> int:
     """lat_sig catch: install a handler and deliver to self."""
-    iters = _params(argv).get("iters", DEFAULT_ITERS)
+    iters = argv_params(argv).get("iters", DEFAULT_ITERS)
     libc = ctx.libc
     hits = []
 
@@ -148,7 +145,7 @@ def bench_signal(ctx: UserContext, argv: List[str]) -> int:
 
 def bench_fork_exit(ctx: UserContext, argv: List[str]) -> int:
     """lat_proc fork: fork a child that exits immediately."""
-    iters = _params(argv).get("iters", 4)
+    iters = argv_params(argv).get("iters", 4)
     libc = ctx.libc
     watch = ctx.machine.stopwatch()
     for _ in range(iters):
@@ -164,7 +161,7 @@ def bench_fork_exec(ctx: UserContext, argv: List[str]) -> int:
     The child binary's path arrives via params["child"], selecting the
     Linux or the iOS hello world (the four Cider variants of §6.2).
     """
-    params = _params(argv)
+    params = argv_params(argv)
     iters = params.get("iters", 4)
     child_path = params.get("child", "/system/bin/hello")
     libc = ctx.libc
@@ -183,7 +180,7 @@ def bench_fork_exec(ctx: UserContext, argv: List[str]) -> int:
 
 def bench_fork_sh(ctx: UserContext, argv: List[str]) -> int:
     """lat_proc shell: fork a shell that runs hello-world."""
-    params = _params(argv)
+    params = argv_params(argv)
     iters = params.get("iters", 4)
     child_path = params.get("child", "/system/bin/hello")
     shell_path = params.get("shell", "/system/bin/sh")
@@ -208,7 +205,7 @@ def bench_fork_sh(ctx: UserContext, argv: List[str]) -> int:
 
 def bench_pipe(ctx: UserContext, argv: List[str]) -> int:
     """lat_pipe: token round trip between parent and child."""
-    iters = _params(argv).get("iters", DEFAULT_ITERS)
+    iters = argv_params(argv).get("iters", DEFAULT_ITERS)
     libc = ctx.libc
     r1, w1 = libc.pipe()
     r2, w2 = libc.pipe()
@@ -244,7 +241,7 @@ def bench_pipe(ctx: UserContext, argv: List[str]) -> int:
 
 def bench_unix_socket(ctx: UserContext, argv: List[str]) -> int:
     """lat_unix: AF_UNIX stream round trip."""
-    iters = _params(argv).get("iters", DEFAULT_ITERS)
+    iters = argv_params(argv).get("iters", DEFAULT_ITERS)
     libc = ctx.libc
     a, b = libc.socketpair()
 
@@ -273,7 +270,7 @@ def bench_unix_socket(ctx: UserContext, argv: List[str]) -> int:
 
 def bench_select(ctx: UserContext, argv: List[str]) -> int:
     """lat_select: poll n pipe descriptors (n in {10, 100, 250})."""
-    params = _params(argv)
+    params = argv_params(argv)
     iters = params.get("iters", DEFAULT_ITERS)
     libc = ctx.libc
     for nfds in params.get("fd_counts", (10, 100, 250)):
@@ -301,7 +298,7 @@ def bench_select(ctx: UserContext, argv: List[str]) -> int:
 
 def bench_files(ctx: UserContext, argv: List[str]) -> int:
     """lat_fs: create and delete 0KB and 10KB files."""
-    iters = _params(argv).get("iters", DEFAULT_ITERS)
+    iters = argv_params(argv).get("iters", DEFAULT_ITERS)
     libc = ctx.libc
     for size_kb in (0, 10):
         payload = b"d" * (size_kb * 1024)

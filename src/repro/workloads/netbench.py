@@ -17,7 +17,7 @@ implementation, the iOS column differs from the Android column only by
 the documented persona/dispatch overhead — the network-path half of the
 paper's pass-through claim.  The summary ends with the machine's packet
 log digest: two same-seed runs must print identical documents
-(``tests/test_net.py`` and the ``net-determinism`` CI job assert it).
+(``tests/test_net.py`` and the ``determinism`` CI job assert it).
 
 Run::
 
@@ -26,7 +26,7 @@ Run::
 ``--jobs N`` runs N independent replicas of the whole benchmark across
 fork-server workers (``repro.sim.parallel``) and asserts every replica
 renders the byte-identical document — the parallel determinism
-self-check the ``net-determinism`` CI job exercises.
+self-check the ``determinism`` CI job exercises.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from typing import Dict, List
 from ..binfmt import elf_executable, macho_executable
 from ..kernel.process import UserContext
 from ..net.http import ORIGIN_HOST
+from . import argv_params
 
 DEFAULT_FETCHES = 8
 DEFAULT_STREAM_KB = 256
@@ -50,10 +51,6 @@ MACHO_PATH = "/data/netbench-ios/netbench"
 WORLD_MACHO_PATH = "/data/netbench-world/netbench"
 ORIGIN_NET_IP = "10.0.2.16"
 DEFAULT_WORLD_FETCHES = 2
-
-
-def _params(argv: List[str]) -> Dict:
-    return argv[1] if len(argv) > 1 and isinstance(argv[1], dict) else {}
 
 
 def _percentile(samples: List[float], q: float) -> float:
@@ -72,7 +69,7 @@ def bench_android(ctx: UserContext, argv: List[str]) -> int:
     """The domestic client: java.net-style HttpURLConnection."""
     from ..android.urlconnection import url_open
 
-    params = _params(argv)
+    params = argv_params(argv)
     out = params.get("out", {})
     fetches = params.get("fetches", DEFAULT_FETCHES)
     stream_kb = params.get("stream_kb", DEFAULT_STREAM_KB)
@@ -120,7 +117,7 @@ def bench_ios(ctx: UserContext, argv: List[str]) -> int:
     same request/response exchange, reached through XNU trap numbers."""
     from ..ios.cfnetwork import NSURLSession
 
-    params = _params(argv)
+    params = argv_params(argv)
     out = params.get("out", {})
     fetches = params.get("fetches", DEFAULT_FETCHES)
     stream_kb = params.get("stream_kb", DEFAULT_STREAM_KB)
@@ -182,7 +179,7 @@ def bench_world_ios(ctx: UserContext, argv: List[str]) -> int:
     from ..ios.services import NOTIFYD_SERVICE
     from ..net.http import HELLO_BODY, HTTPD_PORT, http_get
 
-    params = _params(argv)
+    params = argv_params(argv)
     out = params.get("out", {})
     fetches = params.get("fetches", DEFAULT_WORLD_FETCHES)
     machine = ctx.machine
@@ -380,20 +377,21 @@ def main(argv=None) -> int:
     import hashlib
     import sys
 
-    args = list(sys.argv[1:] if argv is None else argv)
-    jobs = 1
-    if "--jobs" in args:
-        from ..sim.parallel import parse_jobs
+    from ..sim.sweep import parse_args
 
-        at = args.index("--jobs")
-        try:
-            jobs = parse_jobs(args[at + 1])
-        except (IndexError, ValueError):
-            print(
-                "usage: python -m repro.workloads.netbench [--jobs N]",
-                file=sys.stderr,
-            )
-            return 2
+    args = list(sys.argv[1:] if argv is None else argv)
+    if "--world" in args:
+        world_main(args)
+        return 0
+    try:
+        # Stray arguments are ignored, as they always were.
+        _arg, jobs, _timings = parse_args(args, lambda _text: None)
+    except ValueError:
+        print(
+            "usage: python -m repro.workloads.netbench [--jobs N]",
+            file=sys.stderr,
+        )
+        return 2
     if jobs <= 1:
         print(format_report(run_netbench()), end="")
         return 0
@@ -420,9 +418,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    import sys
-
-    if "--world" in sys.argv[1:]:
-        world_main(sys.argv[1:])
-    else:
-        raise SystemExit(main())
+    raise SystemExit(main())

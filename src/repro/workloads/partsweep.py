@@ -29,7 +29,7 @@ the whole matrix instead of hand-picking cases:
    pre-workload baselines.
 
 The sweep report is byte-comparable with a SHA-256 digest: two same-seed
-runs must print identical documents (the ``partition-sweep`` CI job
+runs must print identical documents (the ``determinism`` CI job
 diffs two hash-seed-flipped runs).
 
 The sweep boots each case's world by cloning a boot snapshot
@@ -60,13 +60,14 @@ from ..kernel.errno import (
     errno_name,
 )
 from ..kernel.process import UserContext
-from ..kernel.recovery import _Document
 from ..net.conditions import DIR_IN, LinkSchedule, LinkWindow
 from ..net.http import ORIGIN_HOST
 from ..sim.errors import DeadlockError, MachinePanic
 from ..sim.faults import FaultOutcome, FaultPlan, FaultRule
-from ..sim.parallel import parse_jobs, run_cases
+from ..sim import sweep
+from ..sim.parallel import run_cases
 from ..sim.snapshot import Snapshot, SnapshotCache, snapshot_systems
+from . import argv_params
 
 MACHO_PATH = "/data/partsweep/partfetch"
 
@@ -134,10 +135,6 @@ def build_schedule(name: str, base_ns: float) -> Optional[LinkSchedule]:
     raise ValueError(f"unknown schedule {name!r}")
 
 
-def _params(argv: List[str]) -> Dict:
-    return argv[1] if len(argv) > 1 and isinstance(argv[1], dict) else {}
-
-
 # -- the fetch workload (NSURLSession through the resilience engine) -----------
 
 
@@ -145,7 +142,7 @@ def partfetch_ios(ctx: UserContext, argv: List[str]) -> int:
     from ..ios.cfnetwork import NSURLSession
     from ..net.resilience import ResilienceEngine, ResiliencePolicy
 
-    params = _params(argv)
+    params = argv_params(argv)
     out = params.get("out", {})
     fetches = params.get("fetches", DEFAULT_FETCHES)
     policy = ResiliencePolicy(
@@ -400,21 +397,12 @@ def sweep_case(
     return line, passed
 
 
-class SweepReport(_Document):
-    """The byte-comparable sweep transcript (one line per case)."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.cases = 0
-        self.passed = 0
-
-
 def run_sweep(
     max_cases: Optional[int] = DEFAULT_MAX_CASES,
     fetches: int = DEFAULT_FETCHES,
     seed: int = 0,
     jobs: int = 1,
-) -> SweepReport:
+) -> sweep.SweepReport:
     """The full sweep.  ``jobs > 1`` fans the independent cases out
     across a fork-server worker pool (``repro.sim.parallel``); the
     merged report is byte-identical to a serial run — the report text
@@ -422,7 +410,7 @@ def run_sweep(
     occurrences, first_fetch_ns = record_pass(fetches, seed)
     sites = sample_sites(occurrences)
     cases = build_cases(sites, max_cases)
-    report = SweepReport()
+    report = sweep.SweepReport()
     report.line(
         f"partsweep: workload crosses {len(occurrences)} net point(s), "
         f"{sum(occurrences.values())} occurrence(s); first fetch at "
@@ -443,60 +431,13 @@ def run_sweep(
         len(cases), one_case, jobs=jobs, prime=_world_snapshot
     )
     for line, ok in results:
-        report.line(line)
-        report.cases += 1
-        if ok:
-            report.passed += 1
+        report.case(line, ok)
     report.line(f"partsweep: {report.passed}/{report.cases} case(s) passed")
     return report
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    import json
-    import sys
-    import time
-
-    args = list(sys.argv[1:] if argv is None else argv)
-    usage = (
-        "usage: python -m repro.workloads.partsweep "
-        "[max_cases|all] [--jobs N] [--timings FILE]"
-    )
-    max_cases: Optional[int] = DEFAULT_MAX_CASES
-    jobs = 1
-    timings_path: Optional[str] = None
-    try:
-        while args:
-            arg = args.pop(0)
-            if arg == "--jobs":
-                jobs = parse_jobs(args.pop(0))
-            elif arg == "--timings":
-                timings_path = args.pop(0)
-            elif arg == "all":
-                max_cases = None
-            else:
-                max_cases = int(arg)
-    except (IndexError, ValueError):
-        print(usage, file=sys.stderr)
-        return 2
-    start = time.perf_counter()
-    report = run_sweep(max_cases, jobs=jobs)
-    wall_seconds = time.perf_counter() - start
-    print(report.text(), end="")
-    print(f"sweep sha256: {report.digest()}")
-    if timings_path is not None:
-        with open(timings_path, "w") as fh:
-            json.dump(
-                {
-                    "harness": "partsweep",
-                    "jobs": jobs,
-                    "cases": report.cases,
-                    "wall_seconds": round(wall_seconds, 3),
-                },
-                fh,
-                sort_keys=True,
-            )
-            fh.write("\n")
-    return 0 if report.passed == report.cases else 1
+    return sweep.main("partsweep", run_sweep, DEFAULT_MAX_CASES, argv)
 
 
 if __name__ == "__main__":

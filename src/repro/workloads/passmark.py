@@ -30,6 +30,7 @@ from ..android.dalvik import DalvikVM, assemble
 from ..binfmt import BinaryImage, elf_executable, macho_executable
 from ..kernel.files import O_RDONLY
 from ..kernel.process import UserContext
+from . import argv_params
 
 #: Figure 6 row order.
 PASSMARK_TESTS = [
@@ -264,10 +265,6 @@ _OPS = {
 }
 
 
-def _params(argv: List[str]) -> Dict:
-    return argv[1] if len(argv) > 1 and isinstance(argv[1], dict) else {}
-
-
 def _score(ctx: UserContext, out: Dict, test: str, run) -> None:
     watch = ctx.machine.stopwatch()
     run()
@@ -359,7 +356,7 @@ def _android_gfx3d(ctx: UserContext, calls_per_frame: int) -> None:
 
 
 def android_passmark_main(ctx: UserContext, argv: List[str]) -> int:
-    params = _params(argv)
+    params = argv_params(argv)
     out = params.get("out", {})
     tests = params.get("tests", PASSMARK_TESTS)
     dex = assemble("passmark.dex", _DEX_SOURCE)
@@ -521,7 +518,7 @@ def _ios_gfx3d(ctx: UserContext, calls_per_frame: int) -> None:
 
 
 def ios_passmark_main(ctx: UserContext, argv: List[str]) -> int:
-    params = _params(argv)
+    params = argv_params(argv)
     out = params.get("out", {})
     tests = params.get("tests", PASSMARK_TESTS)
     runners = {
