@@ -233,9 +233,9 @@ class HBMonitor:
     Installed with ``Machine.install_hb_monitor()``; the scheduler and
     every kernel sync path then advance clocks at their synchronization
     edges.  Threads are keyed internally by ``sid`` (the controller is
-    key 0) but every report uses thread *names*, which are stable across
-    runs, clones and fork workers — sids are process-global counters and
-    are never rendered.
+    key 0; sids are unique per scheduler, and a monitor watches one) but
+    every report uses thread *names*, which read better and stay stable
+    across runs, clones and fork workers — sids are never rendered.
     """
 
     def __init__(self, scheduler) -> None:

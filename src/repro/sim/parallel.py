@@ -26,7 +26,9 @@ cores without giving up a single byte of determinism:
 Fork safety follows the snapshot quiescence rule: the parent must hold
 no simulation token and no live sim threads of its own when it forks
 (booted worlds live either inside a snapshot — thread-free by
-construction — or inside the workers).  Where ``os.fork`` is unavailable
+construction — or inside the workers).  The idle sim worker threads the
+parent keeps do not survive the fork; :mod:`repro.sim.scheduler` empties
+its idle list in every child.  Where ``os.fork`` is unavailable
 (non-POSIX), everything degrades to the serial in-process path with
 identical results.
 """

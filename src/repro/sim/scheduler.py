@@ -11,17 +11,31 @@ The token protocol
 ------------------
 
 Every participant (each :class:`SimThread` plus the controller) owns a
-:class:`threading.Event`.  The token holder hands off by setting the
-target's event and then waiting on its own.  A thread that exits hands the
-token off without waiting.  The scheduler's dispatch routine picks the next
-READY thread in strict FIFO order; if none is ready but timers are pending
-it fast-forwards the clock; otherwise the token returns to the controller,
-which decides whether the run is complete or deadlocked.
+*gate*: a raw ``_thread`` lock used as a binary semaphore, held while its
+owner has no token.  The token holder hands off by releasing the target's
+gate and then acquiring its own, which blocks until the token comes back.
+A thread that exits hands the token off without waiting.  The scheduler's
+dispatch routine picks the next READY thread in strict FIFO order; if none
+is ready but timers are pending it fast-forwards the clock; otherwise the
+token returns to the controller, which decides whether the run is complete
+or deadlocked.
+
+SimThread bodies run on reusable OS worker threads kept on one
+process-wide idle list.  :meth:`Scheduler.spawn` binds an idle worker,
+starting a new one only when none is idle, and the SimThread's gate is
+that worker's gate.  An exiting thread unbinds itself and puts its worker
+back on the idle list *before* handing the token on, so the next spawn
+reuses it.  A forked child inherits the idle list but none of the OS
+threads behind it, so the list is emptied in the child.  Which OS thread
+runs a body never reaches the simulation: virtual time, schedules and
+thread ids are the same on a fresh worker as on a reused one.
 """
 
 from __future__ import annotations
 
+import _thread
 import heapq
+import os
 import threading
 from collections import deque
 from enum import Enum
@@ -41,35 +55,74 @@ class ThreadState(Enum):
     KILLED = "killed"
 
 
+def _held_gate() -> "_thread.LockType":
+    """A gate at rest: held, i.e. its owner has no token."""
+    gate = _thread.allocate_lock()
+    gate.acquire()
+    return gate
+
+
 class _TokenHolder:
     """Common handoff machinery shared by SimThread and the controller."""
 
-    def __init__(self, name: str) -> None:
+    def __init__(self, name: str, gate: "_thread.LockType") -> None:
         self.name = name
-        self._go = threading.Event()
+        self._gate = gate
         self._killed = False
 
     def _wake(self) -> None:
-        self._go.set()
+        self._gate.release()
 
     def _wait_for_token(self) -> None:
-        self._go.wait()
-        self._go.clear()
+        self._gate.acquire()
         if self._killed:
             raise ThreadKilled(self.name)
 
     def __deepcopy__(self, memo: dict) -> "_TokenHolder":
-        # A threading.Event holds an OS lock and cannot be deep-copied.
-        # A holder is only ever cloned through a boot snapshot, taken at
-        # a quiescent point where nobody waits on the token — a fresh,
-        # unset event is exactly equivalent.  (SimThread overrides this:
-        # a *live* thread has an OS stack no copy can reproduce.)
+        # A lock cannot be deep-copied.  A holder is only ever cloned
+        # through a boot snapshot, taken at a quiescent point where the
+        # controller holds the token and nobody waits on it — a fresh
+        # held gate is exactly equivalent.  (SimThread overrides this: a
+        # *live* thread has an OS stack no copy can reproduce.)
         clone = object.__new__(type(self))
         memo[id(self)] = clone
         clone.name = self.name
-        clone._go = threading.Event()
+        clone._gate = _held_gate()
         clone._killed = self._killed
         return clone
+
+
+class _Worker:
+    """A reusable OS thread that runs SimThread bodies, one at a time.
+
+    ``task`` is the bound SimThread (None while idle).  The worker sleeps
+    on its gate until that thread first receives the token, runs it to
+    exit, and sleeps again until the next spawn binds it.
+    """
+
+    __slots__ = ("gate", "task")
+
+    def __init__(self) -> None:
+        self.gate = _held_gate()
+        self.task: Optional["SimThread"] = None
+        threading.Thread(
+            target=self._serve, name="sim-worker", daemon=True
+        ).start()
+
+    def _serve(self) -> None:
+        gate = self.gate
+        while True:
+            gate.acquire()
+            self.task._run()
+
+
+#: Workers with no SimThread bound, shared by every scheduler in the
+#: process (OS threads are a process resource).
+_idle_workers: List[_Worker] = []
+
+if hasattr(os, "register_at_fork"):
+    # A forked child inherits the list but none of the OS threads behind it.
+    os.register_at_fork(after_in_child=_idle_workers.clear)
 
 
 class _Timer:
@@ -94,13 +147,12 @@ class _Timer:
 class SimThread(_TokenHolder):
     """A simulated thread of execution.
 
-    ``body`` runs on a dedicated Python thread but only while this
+    ``body`` runs on a pooled worker OS thread but only while this
     SimThread holds the scheduler token.  ``daemon`` threads (system
     services that block forever waiting for requests) do not keep
-    :meth:`Scheduler.run` from completing.
+    :meth:`Scheduler.run` from completing.  ``sid`` numbers the threads
+    of one scheduler from 1 in spawn order; 0 is the controller.
     """
-
-    _next_id = 1
 
     def __init__(
         self,
@@ -109,9 +161,15 @@ class SimThread(_TokenHolder):
         name: str,
         daemon: bool = False,
     ) -> None:
-        super().__init__(name)
-        self.sid = SimThread._next_id
-        SimThread._next_id += 1
+        try:
+            worker = _idle_workers.pop()
+        except IndexError:
+            worker = _Worker()
+        super().__init__(name, worker.gate)
+        worker.task = self
+        self._worker: Optional[_Worker] = worker
+        scheduler._last_sid += 1
+        self.sid = scheduler._last_sid
         self.daemon = daemon
         self.state = ThreadState.NEW
         self.result: object = None
@@ -126,16 +184,15 @@ class SimThread(_TokenHolder):
         self._scheduler = scheduler
         self._body = body
         self._joiners = WaitQueue(f"join:{name}")
-        self._os_thread = threading.Thread(
-            target=self._run, name=f"sim:{name}", daemon=True
-        )
 
     # -- lifecycle ---------------------------------------------------------
 
     def _run(self) -> None:
+        """Called by the worker once this thread first holds the token."""
         sched = self._scheduler
         try:
-            self._wait_for_token()
+            if self._killed:
+                raise ThreadKilled(self.name)
             self.state = ThreadState.RUNNING
             self.last_ran_ns = sched.clock.now_ns
             self.result = self._body()
@@ -161,14 +218,15 @@ class SimThread(_TokenHolder):
             )
         # A finished thread may still be referenced (process tables,
         # joiner bookkeeping).  Copy it as a tombstone: same identity and
-        # result, a fresh unset event, and no OS thread — it can never
-        # run again, and nothing will ever hand it the token.
+        # result, and neither gate nor worker — it can never run again,
+        # and nothing will ever hand it the token.
         import copy as _copy
 
         clone = object.__new__(SimThread)
         memo[id(self)] = clone
         clone.name = self.name
-        clone._go = threading.Event()
+        clone._gate = None
+        clone._worker = None
         clone._killed = self._killed
         clone.sid = self.sid
         clone.daemon = self.daemon
@@ -182,7 +240,6 @@ class SimThread(_TokenHolder):
         clone._scheduler = _copy.deepcopy(self._scheduler, memo)
         clone._body = self._body
         clone._joiners = _copy.deepcopy(self._joiners, memo)
-        clone._os_thread = None
         return clone
 
     def __repr__(self) -> str:
@@ -241,7 +298,12 @@ class Scheduler:
         self._timers: List[_Timer] = []
         self._timer_seq = 0
         self._threads: List[SimThread] = []
-        self._controller = _TokenHolder("controller")
+        #: The most recently assigned ``SimThread.sid``.  Per scheduler,
+        #: so a run numbers its threads the same way however many ran
+        #: before it in the process, and a snapshot clone numbers them
+        #: exactly like a fresh build.
+        self._last_sid = 0
+        self._controller = _TokenHolder("controller", _held_gate())
         self._current: _TokenHolder = self._controller
         self._shutdown = False
         # -- watchdog state (virtual-time ANR detection) -------------------
@@ -290,14 +352,14 @@ class Scheduler:
         name: str = "thread",
         daemon: bool = False,
     ) -> SimThread:
-        """Create a simulated thread; it becomes READY immediately."""
+        """Create a simulated thread on an idle worker; it becomes READY
+        immediately."""
         thread = SimThread(self, body, name, daemon=daemon)
         self._threads.append(thread)
         thread.state = ThreadState.READY
         self._ready.append(thread)
         if self.hb is not None:
             self.hb.on_spawn(thread)
-        thread._os_thread.start()
         return thread
 
     def set_policy(self, policy: object) -> object:
@@ -617,10 +679,10 @@ class Scheduler:
             raise ThreadKilled(victim.name)
 
     def shutdown(self) -> None:
-        """Kill every remaining simulated thread and reclaim OS threads."""
+        """Kill every remaining simulated thread; each returns its worker
+        to the idle list as it unwinds."""
         self._shutdown = True
-        victims = [t for t in self._threads if t.alive]
-        for thread in victims:
+        for thread in [t for t in self._threads if t.alive]:
             if not thread.alive:
                 continue
             thread._killed = True
@@ -630,8 +692,6 @@ class Scheduler:
             self._current = thread
             thread._wake()
             self._controller._wait_for_token()
-        for thread in victims:
-            thread._os_thread.join(timeout=5.0)
         self._threads = [t for t in self._threads if t.alive]
         self._ready.clear()
         self._timers.clear()
@@ -754,7 +814,13 @@ class Scheduler:
         self._controller._wait_for_token()
 
     def _on_thread_exit(self, thread: SimThread) -> None:
-        """Final act of a dying thread: pass the token on, don't wait."""
+        """Final act of a dying thread: free its worker, then pass the
+        token on without waiting.  The worker is idle before the token
+        moves, so whoever runs next can spawn onto it."""
+        worker = thread._worker
+        thread._gate = thread._worker = None
+        worker.task = None
+        _idle_workers.append(worker)
         if self._shutdown:
             self._current = self._controller
             self._controller._wake()

@@ -298,6 +298,19 @@ class TestConservation:
 
 
 class TestChromeTrace:
+    def test_repeated_run_exports_identical_trace(self):
+        """Thread ids (trace ``tid``) are numbered per machine, so the
+        same profiled run done twice in one process exports the same
+        Chrome trace byte for byte."""
+        blobs = []
+        for _ in range(2):
+            _, obs, system = _two_persona_workload(install_obs=True)
+            try:
+                blobs.append(json.dumps(chrome_trace(obs), sort_keys=True))
+            finally:
+                system.shutdown()
+        assert blobs[0] == blobs[1]
+
     def test_two_persona_trace_is_well_formed(self):
         _, obs, system = _two_persona_workload(install_obs=True)
         try:

@@ -256,3 +256,82 @@ def test_scheduler_timeline_reproducible(program, nthreads):
         return timeline
 
     assert execute() == execute()
+
+
+_leaf_op = st.one_of(
+    st.just(("yield",)),
+    st.tuples(st.just("sleep"), st.integers(min_value=1, max_value=1000)),
+    st.tuples(
+        st.sampled_from(["block", "wake_one", "wake_all"]),
+        st.integers(min_value=0, max_value=1),
+    ),
+    st.just(("raise",)),
+)
+_thread_op = st.one_of(
+    _leaf_op,
+    st.tuples(st.just("spawn_join"), st.lists(_leaf_op, max_size=3)),
+)
+
+
+def _run_thread_program(program):
+    """Run one list of ops per thread on a fresh scheduler; return the
+    event log, the outcome and the final clock."""
+    from repro.sim import DeadlockError, Scheduler, VirtualClock, WaitQueue
+
+    clock = VirtualClock()
+    sched = Scheduler(clock)
+    queues = [WaitQueue("q0"), WaitQueue("q1")]
+    log = []
+
+    def interpret(tag, ops):
+        for op in ops:
+            log.append((tag, op[0], clock.now_ps))
+            if op[0] == "yield":
+                sched.yield_control()
+            elif op[0] == "sleep":
+                sched.sleep(op[1])
+            elif op[0] == "block":
+                sched.block_on(queues[op[1]])
+            elif op[0] == "wake_one":
+                queues[op[1]].wake_one()
+            elif op[0] == "wake_all":
+                queues[op[1]].wake_all()
+            elif op[0] == "raise":
+                raise ValueError(tag)
+            else:
+                child_tag = tag + ".c"
+                child = sched.spawn(
+                    lambda: interpret(child_tag, op[1]), name=child_tag
+                )
+                try:
+                    sched.join(child)
+                except ValueError as exc:
+                    log.append((tag, "child raised", str(exc)))
+
+    threads = [
+        sched.spawn(lambda i=i, ops=ops: interpret(f"t{i}", ops), name=f"t{i}")
+        for i, ops in enumerate(program)
+    ]
+    try:
+        sched.run()
+        outcome = "ok"
+    except DeadlockError as exc:
+        outcome = str(exc)
+    finally:
+        log.extend((t.name, t.state.value, repr(t.failure)) for t in threads)
+        sched.shutdown()
+    return log, outcome, clock.now_ps
+
+
+@given(st.lists(st.lists(_thread_op, max_size=5), min_size=1, max_size=3))
+@settings(max_examples=40, deadline=None)
+def test_thread_programs_replay_identically(program):
+    """Generated programs of yields, sleeps, blocks, wakeups, nested
+    spawn+join and raises run identically on two fresh schedulers, and
+    either finish or stop with a DeadlockError carrying a thread dump."""
+    first = _run_thread_program(program)
+    assert _run_thread_program(program) == first
+    outcome = first[1]
+    assert outcome == "ok" or outcome.startswith(
+        "all threads blocked; thread dump:\n  sid="
+    )

@@ -1,7 +1,16 @@
 """Tests for the deterministic cooperative scheduler."""
 
+import gc
+import os
+import signal
+import subprocess
+import sys
+import threading
+import weakref
+
 import pytest
 
+import repro
 from repro.sim import (
     DeadlockError,
     Scheduler,
@@ -9,6 +18,8 @@ from repro.sim import (
     VirtualClock,
     WaitQueue,
 )
+from repro.sim import scheduler as scheduler_module
+from repro.sim.parallel import fork_available
 
 
 @pytest.fixture
@@ -259,3 +270,113 @@ def test_nested_spawn_from_sim_thread(sched):
     sched.spawn(parent, name="parent")
     sched.run()
     assert log == ["parent", "child", "joined"]
+
+
+def test_sids_number_threads_per_scheduler():
+    # Thread ids start at 1 on every scheduler, however many threads
+    # other schedulers in the process spawned before it.
+    for _ in range(2):
+        scheduler = Scheduler(VirtualClock())
+        threads = [scheduler.spawn(lambda: None, f"t{i}") for i in range(3)]
+        scheduler.run()
+        assert [t.sid for t in threads] == [1, 2, 3]
+
+
+# -- the worker pool ---------------------------------------------------------
+
+
+def _is_idle(worker):
+    return worker.task is None and worker in scheduler_module._idle_workers
+
+
+def test_sequential_spawns_reuse_one_worker(sched):
+    before = threading.active_count()
+    for index in range(200):
+        thread = sched.spawn(lambda i=index: i, "t")
+        assert sched.run_until_done(thread) == index
+    assert threading.active_count() <= before + 1
+
+
+def test_thread_killed_before_it_ran_frees_its_worker(sched):
+    thread = sched.spawn(lambda: None, name="never-ran")
+    worker = thread._worker
+    sched.shutdown()
+    assert thread.state is ThreadState.KILLED
+    assert thread._worker is None
+    assert _is_idle(worker)
+
+
+def test_raising_body_frees_its_worker(sched):
+    def boom():
+        raise ValueError("bang")
+
+    thread = sched.spawn(boom, name="boom")
+    worker = thread._worker
+    with pytest.raises(ValueError):
+        sched.run_until_done(thread)
+    assert _is_idle(worker)
+
+
+def test_watchdog_killed_thread_frees_its_worker(sched):
+    sched.set_watchdog(1_000, kill=True)
+    never = WaitQueue("never")
+    thread = sched.spawn(lambda: sched.block_on(never), name="stuck")
+    worker = thread._worker
+    sched.run()
+    assert thread.state is ThreadState.KILLED
+    assert [r["thread"] for r in sched.anr_reports] == ["stuck"]
+    assert _is_idle(worker)
+
+
+def test_idle_workers_do_not_keep_machines_alive():
+    # An idle worker still pointing at its last thread would keep that
+    # thread's whole machine reachable for the life of the process.
+    from repro.cider.system import build_cider
+
+    refs = []
+    for _ in range(3):
+        system = build_cider()
+        assert system.run_program("/system/bin/hello") == 0
+        system.shutdown()
+        refs.append(weakref.ref(system.machine))
+    del system
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None, None]
+
+
+_FORK_SCRIPT = """
+from repro.sim import Scheduler, VirtualClock
+from repro.sim.parallel import run_cases
+
+def case(index):
+    scheduler = Scheduler(VirtualClock())
+    return scheduler.run_until_done(scheduler.spawn(lambda: 2 * index, "t"))
+
+warm = Scheduler(VirtualClock())
+warm.run_until_done(warm.spawn(lambda: 0, "warm"))
+print(run_cases(4, case, jobs=2))
+"""
+
+
+@pytest.mark.skipif(not fork_available(), reason="requires os.fork")
+def test_forked_workers_do_not_bind_inherited_workers():
+    # The parent leaves an idle worker behind; its OS thread does not
+    # survive into the fork-server children.  Run in a subprocess group
+    # so a regression fails on the timeout instead of hanging the suite.
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _FORK_SCRIPT],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=30)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("a fork-server child hung on an inherited sim worker")
+    assert proc.returncode == 0, err
+    assert out.strip() == "[0, 2, 4, 6]"
