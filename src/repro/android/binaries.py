@@ -13,7 +13,7 @@ from ..binfmt import BinaryImage, elf_executable, elf_library
 from ..kernel.process import UserContext
 
 if TYPE_CHECKING:
-    from ..kernel import Kernel
+    from ..kernel.kernel import Kernel
 
 
 def sh_main(ctx: UserContext, argv: List[str]) -> int:

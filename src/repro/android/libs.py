@@ -18,7 +18,7 @@ from .notifications import notify_exports
 from .skia import skia_exports
 
 if TYPE_CHECKING:
-    from ..kernel import Kernel
+    from ..kernel.kernel import Kernel
 
 
 def make_libgles_image() -> BinaryImage:

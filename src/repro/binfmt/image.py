@@ -55,9 +55,8 @@ class Segment:
     size_bytes: int
     writable: bool = False
 
-    def __deepcopy__(self, memo: dict) -> "Segment":
-        # Frozen value object: boot-snapshot clones share it.
-        return self
+    #: Frozen value object: boot-snapshot clones share it.
+    snapshot_shared = True
 
 
 class Symbol:

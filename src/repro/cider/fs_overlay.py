@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List
 
 if TYPE_CHECKING:
-    from ..kernel import Kernel
+    from ..kernel.kernel import Kernel
 
 #: The iOS directory skeleton overlaid onto the Android root.
 IOS_OVERLAY_DIRS: List[str] = [

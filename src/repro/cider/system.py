@@ -28,7 +28,8 @@ from ..android.binaries import install_base_android
 from ..android.bionic import Bionic
 from ..hw.machine import DeviceProfile, Machine
 from ..hw.profiles import ipad_mini, nexus7
-from ..kernel import ElfLoader, Kernel
+from ..kernel.kernel import Kernel
+from ..kernel.loader import ElfLoader
 from ..kernel.process import Process
 from ..kernel.syscalls_linux import LinuxABI
 from ..persona import ANDROID_TLS_LAYOUT, IOS_TLS_LAYOUT, Persona

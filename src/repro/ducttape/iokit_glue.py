@@ -19,6 +19,7 @@ graphics path.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Dict, Optional
 
 from ..kernel.devices import Device, FramebufferDriver
@@ -130,6 +131,13 @@ class IOGraphicsAccelerator2(IOService):
         return 0
 
 
+def _publish_linux_device(
+    iokit: IOKitFramework, runtime: CxxRuntime, device: Device
+) -> None:
+    """Linux ``device_add`` hook: publish the device as an I/O Kit nub."""
+    iokit.publish_nub(runtime.construct(LinuxDeviceNub, device))
+
+
 def install_iokit_linux_glue(
     kernel: "Kernel", iokit: IOKitFramework, runtime: CxxRuntime
 ) -> None:
@@ -139,10 +147,9 @@ def install_iokit_linux_glue(
     runtime.register_class(AppleM2CLCD)
     runtime.register_class(IOMobileFramebuffer)
 
-    def on_device_add(device: Device) -> None:
-        nub = runtime.construct(LinuxDeviceNub, device)
-        iokit.publish_nub(nub)
-
+    # A partial, not a closure: a snapshot clone copies it, and with it
+    # the clone's own registry and runtime.
+    on_device_add = partial(_publish_linux_device, iokit, runtime)
     kernel.devices.device_add_hooks.append(on_device_add)
     # Replay devices registered before the hook existed (kernel boots
     # before Cider is enabled).

@@ -31,16 +31,15 @@ class CompilerProfile:
     for that operation; >1.0 means less optimised code.
     """
 
+    #: Process-wide toolchain constant: boot-snapshot clones share it.
+    snapshot_shared = True
+
     def __init__(self, name: str, multipliers: Mapping[str, float]) -> None:
         self.name = name
         self._multipliers: Dict[str, float] = dict(multipliers)
 
     def factor(self, op_cost_name: str) -> float:
         return self._multipliers.get(op_cost_name, 1.0)
-
-    def __deepcopy__(self, memo: dict) -> "CompilerProfile":
-        # Process-wide toolchain constant: boot-snapshot clones share it.
-        return self
 
     def __repr__(self) -> str:
         return f"<CompilerProfile {self.name!r}>"

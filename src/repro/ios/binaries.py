@@ -11,7 +11,7 @@ from typing import TYPE_CHECKING, List
 from ..binfmt import BinaryImage, macho_executable
 
 if TYPE_CHECKING:
-    from ..kernel import Kernel
+    from ..kernel.kernel import Kernel
     from ..kernel.process import UserContext
 
 LIBSYSTEM_DEP = "/usr/lib/libSystem.B.dylib"

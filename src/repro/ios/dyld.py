@@ -20,6 +20,7 @@ exit" (§6.2).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
 from ..binfmt import BinaryImage
@@ -263,7 +264,7 @@ class Dyld:
                     if not self._evictor_registered:
                         self._evictor_registered = True
                         ctx.kernel.pressure_evictors.append(
-                            lambda k=ctx.kernel: evict_shared_cache(k)
+                            partial(evict_shared_cache, ctx.kernel)
                         )
                 lib = cache.get(dep)
                 # Prelinked: binding work is already done in the cache.

@@ -142,21 +142,14 @@ def native_opengles_exports() -> Dict[str, object]:
 # -- the Cider replacement library ------------------------------------------------
 
 
-def _fence_wait_with_prototype_bug() -> Callable:
+class _FenceWaitDiplomat(Diplomat):
     """The replacement's fence wait: correct arbitration, but the fence
     primitive mapping is wrong when the prototype bug is enabled."""
-    diplomat = Diplomat(
-        foreign_symbol="_glClientWaitSyncAPPLE",
-        domestic_library="libGLESv2.so",
-        domestic_symbol="glClientWaitSync",
-    )
 
-    def entry(ctx: "UserContext", fence: object) -> object:
+    def __call__(self, ctx: "UserContext", fence: object) -> object:
         config = getattr(ctx.kernel, "cider_config", {})
         broken = bool(config.get("fence_bug", False))
-        return diplomat(ctx, fence, broken)
-
-    return entry
+        return super().__call__(ctx, fence, broken)
 
 
 def build_cider_opengles(
@@ -193,6 +186,8 @@ def build_cider_opengles(
         "_glFenceSyncAPPLE": Diplomat(
             "_glFenceSyncAPPLE", "libGLESv2.so", "glFenceSync"
         ),
-        "_glClientWaitSyncAPPLE": _fence_wait_with_prototype_bug(),
+        "_glClientWaitSyncAPPLE": _FenceWaitDiplomat(
+            "_glClientWaitSyncAPPLE", "libGLESv2.so", "glClientWaitSync"
+        ),
     }
     return generate_diplomats(native_library, domestic_images, manual)

@@ -1,78 +1,7 @@
-"""The simulated domestic kernel (Linux-like core, personality-agnostic)."""
+"""The simulated domestic kernel (Linux-like core, personality-agnostic).
 
-from . import errno
-from .devices import Device, DeviceManager, EvdevDriver, FramebufferDriver
-from .errno import SyscallError
-from .files import (
-    FDTable,
-    O_APPEND,
-    O_CREAT,
-    O_EXCL,
-    O_NONBLOCK,
-    O_RDONLY,
-    O_RDWR,
-    O_TRUNC,
-    O_WRONLY,
-    OpenFile,
-    SEEK_CUR,
-    SEEK_END,
-    SEEK_SET,
-)
-from .kernel import Kernel
-from .loader import BinfmtHandler, ElfLoader, LibrarySearchPath, LoaderChain
-from .mm import PAGE_SIZE, AddressSpace, VMA
-from .process import (
-    KThread,
-    Process,
-    ProcessExited,
-    ProcessManager,
-    ThreadExited,
-    UserContext,
-)
-from .signals import SigAction, SigInfo, SignalState
-from .syscalls_linux import LinuxABI
-from .vfs import VFS, DeviceNode, Directory, RegularFile
-
-__all__ = [
-    "errno",
-    "Device",
-    "DeviceManager",
-    "EvdevDriver",
-    "FramebufferDriver",
-    "SyscallError",
-    "FDTable",
-    "O_APPEND",
-    "O_CREAT",
-    "O_EXCL",
-    "O_NONBLOCK",
-    "O_RDONLY",
-    "O_RDWR",
-    "O_TRUNC",
-    "O_WRONLY",
-    "OpenFile",
-    "SEEK_CUR",
-    "SEEK_END",
-    "SEEK_SET",
-    "Kernel",
-    "BinfmtHandler",
-    "ElfLoader",
-    "LibrarySearchPath",
-    "LoaderChain",
-    "PAGE_SIZE",
-    "AddressSpace",
-    "VMA",
-    "KThread",
-    "Process",
-    "ProcessExited",
-    "ProcessManager",
-    "ThreadExited",
-    "UserContext",
-    "SigAction",
-    "SigInfo",
-    "SignalState",
-    "LinuxABI",
-    "VFS",
-    "DeviceNode",
-    "Directory",
-    "RegularFile",
-]
+Import names from their modules (``repro.kernel.kernel.Kernel``).  This
+file imports nothing: ``repro.persona`` and ``repro.net`` import the
+leaf ``repro.kernel.errno``, which runs this file first, and
+``kernel.py`` and ``syscalls_linux.py`` import those packages back.
+"""

@@ -180,11 +180,8 @@ class Kernel:
             for number, handler in table.items():
                 flat[number] = handler
         if not persona._subscribed:
-            def _invalidate(p=persona):
-                p._flat = None
-
             for table in abi.tables():
-                table.subscribe(_invalidate)
+                table.subscribe(persona.drop_flat_cache)
             persona._subscribed = True
         cost_name = abi.dispatch_cost_name
         persona._dispatch_ps = (

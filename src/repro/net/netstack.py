@@ -86,14 +86,6 @@ class _StreamingDigest:
     def hexdigest(self) -> str:
         return self._hash.hexdigest()
 
-    def __deepcopy__(self, memo: dict) -> "_StreamingDigest":
-        # Boot-snapshot clones need their own hash state; hashlib objects
-        # expose copy() for exactly this kind of branching.
-        clone = object.__new__(type(self))
-        memo[id(self)] = clone
-        clone._hash = self._hash.copy()
-        return clone
-
 
 class NetStack:
     """One machine's virtual network: interfaces, port tables, DNS, log."""

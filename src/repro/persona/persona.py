@@ -45,6 +45,10 @@ class Persona:
         self._trace_key = ("syscall", getattr(abi, "name", "abi"))
         self._subscribed = False
 
+    def drop_flat_cache(self) -> None:
+        """A dispatch table gained a syscall: the next trap re-primes."""
+        self._flat = None
+
     def __repr__(self) -> str:
         return f"<Persona {self.name!r}>"
 

@@ -78,18 +78,20 @@ class _TokenHolder:
         if self._killed:
             raise ThreadKilled(self.name)
 
-    def __deepcopy__(self, memo: dict) -> "_TokenHolder":
-        # A lock cannot be deep-copied.  A holder is only ever cloned
-        # through a boot snapshot, taken at a quiescent point where the
-        # controller holds the token and nobody waits on it — a fresh
-        # held gate is exactly equivalent.  (SimThread overrides this: a
-        # *live* thread has an OS stack no copy can reproduce.)
-        clone = object.__new__(type(self))
-        memo[id(self)] = clone
-        clone.name = self.name
-        clone._gate = _held_gate()
-        clone._killed = self._killed
-        return clone
+    def __getstate__(self) -> dict:
+        # A lock cannot be pickled.  A holder is only ever pickled into a
+        # boot snapshot, taken at a quiescent point where the controller
+        # holds the token and nobody waits on it — so the gate is dropped
+        # and a fresh held one is exactly equivalent.  (SimThread
+        # overrides this: a *live* thread has an OS stack no image can
+        # hold.)
+        state = self.__dict__.copy()
+        del state["_gate"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._gate = _held_gate()
 
 
 class _Worker:
@@ -209,38 +211,25 @@ class SimThread(_TokenHolder):
     def alive(self) -> bool:
         return self.state not in (ThreadState.DONE, ThreadState.KILLED)
 
-    def __deepcopy__(self, memo: dict) -> "SimThread":
+    def __getstate__(self) -> dict:
         if self.alive:
             raise TypeError(
-                f"cannot deep-copy live simulated thread {self.name!r}; "
+                f"cannot snapshot live simulated thread {self.name!r}; "
                 "snapshot machines only at a quiescent point "
                 "(no live SimThreads — see repro.sim.snapshot)"
             )
         # A finished thread may still be referenced (process tables,
-        # joiner bookkeeping).  Copy it as a tombstone: same identity and
-        # result, and neither gate nor worker — it can never run again,
-        # and nothing will ever hand it the token.
-        import copy as _copy
+        # joiner bookkeeping).  It loads as a tombstone: same identity and
+        # result, and neither gate, worker nor body — it can never run
+        # again, and nothing will ever hand it the token.
+        state = self.__dict__.copy()
+        del state["_gate"], state["_worker"], state["_body"]
+        state["wait_channel"] = None
+        return state
 
-        clone = object.__new__(SimThread)
-        memo[id(self)] = clone
-        clone.name = self.name
-        clone._gate = None
-        clone._worker = None
-        clone._killed = self._killed
-        clone.sid = self.sid
-        clone.daemon = self.daemon
-        clone.state = self.state
-        clone.result = _copy.deepcopy(self.result, memo)
-        clone.failure = self.failure
-        clone.wait_channel = None
-        clone.last_ran_ns = self.last_ran_ns
-        clone.blocked_since_ns = self.blocked_since_ns
-        clone.anr_flagged = self.anr_flagged
-        clone._scheduler = _copy.deepcopy(self._scheduler, memo)
-        clone._body = self._body
-        clone._joiners = _copy.deepcopy(self._joiners, memo)
-        return clone
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._gate = self._worker = self._body = None
 
     def __repr__(self) -> str:
         return f"<SimThread {self.sid} {self.name!r} {self.state.value}>"

@@ -4,26 +4,30 @@ Sweep harnesses (``repro.workloads.partsweep``/``crashsweep``) and the
 determinism runs boot a fresh System — or a whole two-machine world —
 for every one of their 60+ cases, and the boot dominates each case's
 wall-clock.  A :class:`Snapshot` captures the expensive, *thread-free*
-part of that boot exactly once and hands out deep clones per case; every
-clone then finishes its own boot (launchd, supervised services) on its
-private copy, so each case still runs against pristine state while the
-kernel build, persona registration, userspace install and framework
+part of that boot exactly once as an immutable serialized image, and
+every :meth:`Snapshot.clone` is one ``pickle`` load of those bytes.
+Each clone then finishes its own boot (launchd, supervised services) on
+its private copy, so each case still runs against pristine state while
+the kernel build, persona registration, userspace install and framework
 trees are paid for once per process.
 
 The quiescence rule
 -------------------
 
 Simulated threads are backed by real OS threads (see
-``repro.sim.scheduler``), and an OS thread's stack cannot be cloned.  A
-snapshot is therefore only legal at a *quiescent point*: no live
+``repro.sim.scheduler``), and an OS thread's stack cannot be captured.
+A snapshot is therefore only legal at a *quiescent point*: no live
 :class:`~repro.sim.scheduler.SimThread` on any captured machine, an
 empty ready queue, and the controller holding the token.  The system
 builders expose exactly such a point (``build_cider(...,
-start_services=False)``); :func:`snapshot_systems` enforces it and
-raises :class:`SnapshotError` otherwise.  The same rule is what makes
-snapshots fork-safe: a fork-server worker (``repro.sim.parallel``)
-inherits a captured snapshot through ``fork`` and clones from it without
-ever touching an OS thread that did not survive the fork.
+start_services=False)``); :func:`snapshot_systems` checks it once, at
+capture, and raises :class:`SnapshotError` otherwise.  The image is
+plain bytes, so nothing can mutate it afterwards: neither the captured
+systems (which the snapshot does not keep) nor the clones.  The same
+rule is what makes snapshots fork-safe: a fork-server worker
+(``repro.sim.parallel``) inherits a captured snapshot through ``fork``
+and clones from it without ever touching an OS thread that did not
+survive the fork.
 
 Determinism contract
 --------------------
@@ -32,22 +36,48 @@ A clone is bit-identical simulation state: finishing a clone's boot and
 running a workload charges exactly the same virtual picoseconds as
 running the same steps on a freshly built system
 (``tests/test_parallel.py`` asserts equality of ``clock.charged_ps``).
-Cloning copies everything reachable from the captured systems *except*
-process-wide immutables: modules are shared (they cannot be deep-copied
-and hold no per-run simulation state), and plain functions — syscall
-handlers, workload bodies — are shared by ``copy.deepcopy``'s normal
-atomic-function rule.
+Every object reachable from the captured systems falls in one of three
+groups:
+
+* **Shared** by every clone, as the same object: modules, classes,
+  functions, code objects, weakrefs, properties, builtins bound to a
+  module (``len``, ``math.sqrt``) and instances of classes that declare
+  ``snapshot_shared = True`` (frozen value objects such as
+  ``Segment`` and ``CompilerProfile``).  They hold no per-run state.
+* **Re-created on load**: a ``hashlib`` object is branched per clone
+  with ``.copy()``; a scheduler's controller gets a fresh held gate; a
+  finished ``SimThread`` loads as a tombstone with neither gate, worker
+  nor body (see ``repro.sim.scheduler``).
+* **Copied**: everything else, including a builtin method bound to an
+  object (``some_list.append`` is copied with its list) and a bound
+  Python method (copied with its ``self``).
+
+The closure rule: a shared function must not smuggle per-system state
+into every clone.  Capture raises :class:`SnapshotError`, naming the
+function, when a closure cell or default argument holds anything but a
+shared object or an immutable value (``None``, numbers, strings, bytes,
+enum members, and tuples or frozensets of these).  A hook that must
+reach per-system state is an object (a ``functools.partial`` is one) or
+a bound method owned by its system, so it is copied with the clone.
+
+The image never leaves the process — fork-server workers inherit it
+through ``fork`` — so only bytes this program wrote are ever unpickled.
 """
 
 from __future__ import annotations
 
-import copy
-import sys
-from typing import Callable, Dict, Iterable, Tuple
+import hashlib
+import io
+import pickle
+import weakref
+from enum import Enum
+from types import BuiltinFunctionType, CodeType, FunctionType, ModuleType
+from typing import Callable, Dict, Iterable, List, Tuple
 
 
 class SnapshotError(RuntimeError):
-    """The object graph is not at a snapshot-safe quiescent point."""
+    """The object graph cannot be captured: it is not quiescent, holds an
+    unpicklable object, or shares a function that closes over state."""
 
 
 def assert_quiescent(machine) -> None:
@@ -72,40 +102,140 @@ def assert_quiescent(machine) -> None:
         raise SnapshotError(f"{machine!r} is mid-dispatch")
 
 
-def _module_memo() -> Dict[int, object]:
-    """A deepcopy memo pre-seeded with every imported module.
+# How an image treats an object: copy it, share it (functions after a
+# closure check), or branch it per clone.
+_COPY, _SHARE, _FUNCTION, _BRANCH, _BUILTIN = range(5)
 
-    Modules are process-wide immutables from the simulation's point of
-    view and cannot be deep-copied; seeding the memo makes any module
-    reference inside the captured graph copy as itself.
-    """
-    return {id(module): module for module in list(sys.modules.values())}
+#: Every hashlib object type: branched per clone with ``.copy()``.
+_HASH_TYPES = frozenset(
+    type(hashlib.new(name)) for name in hashlib.algorithms_guaranteed
+)
+
+#: Values a shared function's closure cells and defaults may hold
+#: (``bool`` is an ``int``).
+_IMMUTABLE_TYPES = (type(None), int, float, complex, str, bytes, Enum)
+
+_kinds: Dict[type, int] = {}
+
+
+def _classify(cls: type) -> int:
+    if cls is FunctionType:
+        return _FUNCTION
+    if cls is BuiltinFunctionType:
+        return _BUILTIN
+    if cls in _HASH_TYPES:
+        return _BRANCH
+    if issubclass(cls, (type, ModuleType, CodeType, property, weakref.ref)):
+        return _SHARE
+    # Opt-in for frozen value objects (``Segment``, ``CompilerProfile``).
+    return _SHARE if getattr(cls, "snapshot_shared", False) else _COPY
+
+
+def _kind(obj: object) -> int:
+    cls = type(obj)
+    kind = _kinds.get(cls)
+    if kind is None:
+        kind = _kinds[cls] = _classify(cls)
+    if kind is _BUILTIN:
+        # Shared when bound to a module (``len``); a method bound to an
+        # object (``some_list.append``) is copied with its object.
+        owner = obj.__self__
+        return _SHARE if owner is None or isinstance(owner, ModuleType) else _COPY
+    return kind
+
+
+def _captured(fn: FunctionType) -> Iterable[object]:
+    """The values ``fn``'s closure cells and default arguments hold."""
+    for cell in fn.__closure__ or ():
+        try:
+            yield cell.cell_contents
+        except ValueError:  # an empty cell
+            pass
+    yield from fn.__defaults__ or ()
+    yield from (fn.__kwdefaults__ or {}).values()
+
+
+def _check_closure(fn: FunctionType) -> None:
+    """Raise :class:`SnapshotError` if sharing ``fn`` would alias state."""
+    pending: List[object] = [fn]
+    seen = set()
+    while pending:
+        obj = pending.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if type(obj) is FunctionType:
+            pending.extend(_captured(obj))
+        elif isinstance(obj, (tuple, frozenset)):
+            pending.extend(obj)
+        elif not (isinstance(obj, _IMMUTABLE_TYPES) or _kind(obj) is _SHARE):
+            raise SnapshotError(
+                f"{fn.__module__}.{fn.__qualname__} closes over "
+                f"{type(obj).__qualname__} state every clone would share; "
+                "make the hook an object or bound method owned by its system"
+            )
+
+
+class _ImagePickler(pickle.Pickler):
+    """Pickles a quiescent payload, replacing shared objects by their
+    index in ``atoms``."""
+
+    def __init__(self, file: io.BytesIO) -> None:
+        super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
+        self.atoms: List[object] = []
+        #: Indices of atoms every clone branches with ``.copy()``.
+        self.branched: List[int] = []
+        self._index: Dict[int, int] = {}
+
+    def persistent_id(self, obj: object):
+        kind = _kind(obj)
+        if kind is _COPY:
+            return None
+        index = self._index.get(id(obj))
+        if index is None:
+            if kind is _FUNCTION:
+                _check_closure(obj)
+            index = self._index[id(obj)] = len(self.atoms)
+            if kind is _BRANCH:
+                # A private branch: the captured system may keep hashing.
+                self.branched.append(index)
+                obj = obj.copy()
+            self.atoms.append(obj)
+        return index
 
 
 class Snapshot:
-    """A re-cloneable image of one or more quiescent systems.
+    """An immutable image of one or more quiescent systems.
 
-    The captured payload is pristine and private — callers only ever see
-    deep clones, so every :meth:`clone` starts from exactly the same
-    simulation state no matter how many cases ran before it.
+    Holds only the pickled bytes and the shared atoms, never the
+    captured objects, so every :meth:`clone` starts from exactly the
+    state at capture no matter what ran before or since.
     """
 
     def __init__(self, payload: Tuple, machines: Iterable = ()) -> None:
-        self._machines = tuple(machines)
-        for machine in self._machines:
+        for machine in machines:
             assert_quiescent(machine)
-        self._payload = payload
+        buffer = io.BytesIO()
+        pickler = _ImagePickler(buffer)
+        try:
+            pickler.dump(payload)
+        except (pickle.PicklingError, TypeError) as exc:
+            raise SnapshotError(f"cannot snapshot: {exc}") from exc
+        self._image = buffer.getvalue()
+        self._atoms = tuple(pickler.atoms)
+        self._branched = tuple(pickler.branched)
         #: How many clones were handed out (diagnostics only).
         self.clones = 0
 
     def clone(self) -> Tuple:
-        """A deep copy of the captured payload, ready to finish booting."""
-        for machine in self._machines:
-            # The payload is never run, but guard against callers that
-            # reached in and mutated the pristine copy.
-            assert_quiescent(machine)
+        """A fresh copy of the captured payload, ready to finish booting."""
+        atoms = list(self._atoms)
+        for index in self._branched:
+            atoms[index] = atoms[index].copy()
+        unpickler = pickle.Unpickler(io.BytesIO(self._image))
+        unpickler.persistent_load = atoms.__getitem__
         self.clones += 1
-        return copy.deepcopy(self._payload, _module_memo())
+        return unpickler.load()
 
 
 def snapshot_systems(*systems) -> Snapshot:

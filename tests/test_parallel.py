@@ -12,7 +12,7 @@ import hashlib
 
 import pytest
 
-from repro.cider.system import build_cider
+from repro.cider.system import System, build_cider
 from repro.sim.parallel import (
     WorkerError,
     fork_available,
@@ -119,6 +119,156 @@ def test_snapshot_clones_are_independent():
     with pytest.raises(Exception):
         b.kernel.vfs.resolve("/data/only-in-a")
     assert snap.clones == 2
+
+
+# -- snapshots are immutable images --------------------------------------------
+
+
+def _vfs_paths(system):
+    return sorted(system.kernel.vfs.walk("/"))
+
+
+def _charged_ps(system):
+    return system.machine.clock.charged_ps
+
+
+def test_clone_ignores_changes_to_the_captured_system():
+    system = build_cider(start_services=False)
+    snap = snapshot_systems(system)
+    (before,) = snap.clone()
+    system.kernel.vfs.makedirs("/data/after-capture")
+    (after_mkdir,) = snap.clone()
+    system.start_services()
+    (after_start,) = snap.clone()
+    clones = (before, after_mkdir, after_start)
+    # Every step below charges virtual time, and equally on each clone.
+    for step in (_vfs_paths, System.start_services, _charged_ps):
+        results = [step(clone) for clone in clones]
+        assert results[1:] == results[:-1]
+    assert "/data/after-capture" not in _vfs_paths(after_start)
+    for clone in clones:
+        clone.shutdown()
+    system.shutdown()
+
+
+def test_snapshot_does_not_keep_captured_systems_alive():
+    import gc
+    import weakref
+
+    system = build_cider(start_services=False)
+    captured = weakref.ref(system)
+    snap = snapshot_systems(system)
+    del system
+    gc.collect()
+    assert captured() is None
+    (clone,) = snap.clone()
+    clone.start_services()
+    clone.shutdown()
+
+
+def test_packet_log_digest_branches_per_clone():
+    system = build_cider(start_services=False)
+    net = system.machine.net
+    net.log_segment("udp", ("127.0.0.1", 5000), ("127.0.0.1", 53), 32)
+    snap = snapshot_systems(system)
+    (a,) = snap.clone()
+    (b,) = snap.clone()
+    a.machine.net.log_segment("tcp", ("127.0.0.1", 49152), ("127.0.0.1", 80), 1)
+    b.machine.net.log_segment("tcp", ("127.0.0.1", 49153), ("127.0.0.1", 80), 2)
+    digests = set()
+    for clone in (a, b):
+        log = clone.machine.net.packet_log()
+        assert log.count("\n") == 2
+        digest = clone.machine.net.log_digest()
+        assert digest == hashlib.sha256(log.encode()).hexdigest()
+        digests.add(digest)
+    assert len(digests) == 2
+    assert net.log_digest() == hashlib.sha256(net.packet_log().encode()).hexdigest()
+
+
+def test_unpicklable_payload_raises_snapshot_error_at_capture():
+    import threading
+
+    system = build_cider(start_services=False)
+    system.machine.stray_lock = threading.Lock()
+    with pytest.raises(SnapshotError, match="lock"):
+        snapshot_systems(system)
+
+
+def test_clone_of_a_system_with_a_finished_thread_runs_like_the_original():
+    system = build_cider(start_services=False)
+    assert system.run_program("/system/bin/hello") == 0
+    assert not system.machine.scheduler.live_threads()
+    assert system.machine.scheduler._threads  # a finished SimThread
+    (clone,) = snapshot_systems(system).clone()
+    (tombstone,) = clone.machine.scheduler._threads
+    assert tombstone._gate is tombstone._worker is tombstone._body is None
+    assert clone.machine.clock.charged_ps == system.machine.clock.charged_ps
+    assert clone.run_program("/system/bin/hello") == 0
+    assert system.run_program("/system/bin/hello") == 0
+    assert clone.machine.clock.charged_ps == system.machine.clock.charged_ps
+
+
+# -- snapshots: hooks belong to their clone, closures are checked --------------
+
+
+def _iokit_names(system):
+    return {entry.entry_name for entry in system.kernel.iokit.root.iterate()}
+
+
+def test_device_add_publishes_into_the_clones_own_iokit_registry():
+    from repro.kernel.devices import NullDriver
+
+    snap = snapshot_systems(build_cider(start_services=False))
+    (a,) = snap.clone()
+    a.kernel.add_device("testdev0", NullDriver(), "misc")
+    (b,) = snap.clone()
+    assert "testdev0" in _iokit_names(a)
+    assert "testdev0" not in _iokit_names(b)
+
+
+def test_dispatch_table_register_invalidates_the_clones_own_persona():
+    snap = snapshot_systems(build_cider(start_services=False))
+    (a,) = snap.clone()
+    assert a.run_program("/system/bin/hello") == 0  # primes the flat cache
+    persona = a.kernel.personas.get("android")
+    assert persona._flat is not None
+    persona.abi.table.register(9999, "testcall", lambda *args: 0)
+    assert persona._flat is None
+
+
+def test_closure_over_system_state_fails_at_capture():
+    system = build_cider(start_services=False)
+    devices = system.kernel.devices
+
+    def count_devices():
+        return len(devices.all_devices())
+
+    system.machine.probe = count_devices
+    with pytest.raises(SnapshotError, match="count_devices"):
+        snapshot_systems(system)
+
+
+def test_builtin_method_bound_to_system_state_is_copied_with_it():
+    system = build_cider(start_services=False)
+    system.machine.notes = []
+    system.machine.add_note = system.machine.notes.append
+    (a,) = snapshot_systems(system).clone()
+    a.machine.add_note("only in a")
+    assert a.machine.notes == ["only in a"]
+    assert system.machine.notes == []
+
+
+def test_closure_over_immutable_values_is_shared():
+    system = build_cider(start_services=False)
+    limit = 3
+
+    def under_limit(n, names=("a", "b")):
+        return n < limit and len(names) == 2
+
+    system.machine.probe = under_limit
+    (clone,) = snapshot_systems(system).clone()
+    assert clone.machine.probe is under_limit
 
 
 # -- sweep transcripts: --jobs N is byte-invisible -----------------------------
