@@ -14,8 +14,10 @@ writes:
   same-seed runs (telemetry must be byte-identical run to run).
 
 Everything printed is deterministic: virtual time, fixed-bucket
-percentiles, sorted tables.  The CI telemetry gate runs this script
-twice and requires identical stdout and identical ``summary.json``.
+percentiles, sorted tables.  The ``telemetry`` row of the CI
+``determinism`` job runs this script under two hash seeds and requires
+identical stdout, ``summary.json`` and ``trace.json``; the tier-1 suite
+compares ``summary.json`` with ``benchmarks/profile_run_summary.json``.
 
 Run:  PYTHONPATH=src python examples/profile_run.py [trace.json [summary.json]]
 """

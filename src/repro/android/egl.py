@@ -31,7 +31,6 @@ class EGLSurface:
     def __init__(self, display: EGLDisplay, window: Surface) -> None:
         self.display = display
         self.window = window
-        self.swaps = 0
 
 
 def _state(ctx: "UserContext") -> Dict[str, object]:
@@ -90,7 +89,6 @@ def eglSwapBuffers(
     context = current_context(ctx)
     if context is not None:
         flush_to_gpu(ctx, context)
-    surface.swaps += 1
     surface.window.post()
     return True
 

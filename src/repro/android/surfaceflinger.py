@@ -54,7 +54,6 @@ class Surface:
         self.visible = True
         self.front = GraphicBuffer(width_px, height_px, usage="window")
         self.back = GraphicBuffer(width_px, height_px, usage="window")
-        self.posts = 0
         #: Bytes charged against the machine's gralloc carveout budget
         #: (released by :meth:`SurfaceFlinger.destroy_surface`).
         self.gralloc_reserved = 0
@@ -74,7 +73,6 @@ class Surface:
     def post(self) -> None:
         """Swap buffers and trigger composition."""
         self.front, self.back = self.back, self.front
-        self.posts += 1
         self.flinger.composite()
 
     def screenshot(self) -> str:
@@ -88,8 +86,6 @@ class SurfaceFlinger:
         self.machine = machine
         self.surfaces: List[Surface] = []
         self.compositions = 0
-        #: Frames skipped because the gralloc carveout was exhausted.
-        self.frames_dropped = 0
 
     # -- surface management ------------------------------------------------------
 
@@ -137,10 +133,7 @@ class SurfaceFlinger:
         machine = self.machine
         res = machine.resources
         if res is not None and res.gralloc_exhausted:
-            self.frames_dropped += 1
-            obs = machine.obs
-            if obs is not None:
-                obs.metrics.counter("android.sf.frames.dropped").inc()
+            machine.count("android.sf.frames.dropped")
             machine.emit(
                 "resource", "frame_dropped", compositions=self.compositions
             )

@@ -89,7 +89,6 @@ class Diplomat:
         self.domestic_symbol = domestic_symbol
         self.domestic_persona = domestic_persona
         self.foreign_persona = foreign_persona
-        self.calls = 0
         self._post_call = post_call
         # Step 1's "locally-scoped static variable" caching the resolved
         # entry point — per-process, since libraries load per-process.
@@ -127,7 +126,6 @@ class Diplomat:
     def _call_body(self, ctx: "UserContext", args: tuple) -> object:
         machine = ctx.machine
         thread = ctx.thread
-        self.calls += 1
 
         fn = self._resolve(ctx)  # step 1
         machine.charge("diplomat_overhead")  # steps 2/4/6/9

@@ -211,9 +211,7 @@ class LinuxDuctTapeEnv(XNUKernelAPI):
 
     def metric(self, name: str, amount: int = 1) -> None:
         """Bind foreign ledger counters to the host metrics registry."""
-        obs = self._machine.obs
-        if obs is not None:
-            obs.metrics.counter(name).inc(amount)
+        self._machine.count(name, amount)
 
     def causal_carrier(self) -> Optional[object]:
         """Bind Mach-message trace headers to the host causal tracer."""

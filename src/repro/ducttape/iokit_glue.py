@@ -66,7 +66,6 @@ class AppleM2CLCD(IOMobileFramebuffer):
     def __init__(self, name: str = "AppleM2CLCD") -> None:
         super().__init__(name, {"IOClass": "AppleM2CLCD"})
         self.fb: Optional[FramebufferDriver] = None
-        self.swaps = 0
 
     def probe(self, provider: IOService) -> Optional[IOService]:
         driver = getattr(provider, "linux_driver", None)
@@ -85,7 +84,6 @@ class AppleM2CLCD(IOMobileFramebuffer):
         return {"width": self.fb.width, "height": self.fb.height, "depth": 32}
 
     def swap_begin(self) -> int:
-        self.swaps += 1
         return 0
 
     def swap_end(self) -> int:

@@ -26,7 +26,6 @@ class Accelerometer:
     def __init__(self) -> None:
         self._queue: List[AccelSample] = []
         self._listener: Optional[Callable[[AccelSample], None]] = None
-        self.samples_injected = 0
 
     def attach_driver(self, listener: Callable[[AccelSample], None]) -> None:
         self._listener = listener
@@ -35,7 +34,6 @@ class Accelerometer:
         self._queue.clear()
 
     def inject(self, sample: AccelSample) -> None:
-        self.samples_injected += 1
         if self._listener is not None:
             self._listener(sample)
         else:

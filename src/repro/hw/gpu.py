@@ -47,7 +47,6 @@ class GPU:
         self.commands_executed = 0
         self.vertices_processed = 0
         self.fragment_blocks_shaded = 0
-        self.fences_signalled = 0
         self._pending_fences: List[Fence] = []
 
     def submit(self, commands: List[GpuCommand]) -> None:
@@ -66,7 +65,6 @@ class GPU:
                 fence = cmd.detail.get("fence")
                 if isinstance(fence, Fence):
                     fence.signalled = True
-                    self.fences_signalled += 1
             self.commands_executed += 1
         self._machine.charge_ns(total_ns * self.speed_factor)
 

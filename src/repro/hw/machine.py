@@ -308,14 +308,19 @@ class Machine:
         obs.attach(self)
         self.obs = obs
         self.clock.profiler = obs.profiler
-        self.scheduler.obs = obs
         return obs
 
     def clear_observatory(self) -> None:
         """Detach telemetry: the fast path is restored exactly."""
         self.obs = None
         self.clock.profiler = None
-        self.scheduler.obs = None
+
+    def count(self, metric: str, amount: int = 1) -> None:
+        """Add ``amount`` to the counter ``metric`` of the installed
+        observatory; a no-op when none is installed."""
+        obs = self.obs
+        if obs is not None:
+            obs.metrics.counter(metric).inc(amount)
 
     def install_causal_tracer(self, node: Optional[str] = None):
         """Attach a :class:`~repro.obs.causal.CausalTracer` to the

@@ -48,8 +48,6 @@ class FlashStorage:
         self.capacity_gb = capacity_gb
         self.bytes_read = 0
         self.bytes_written = 0
-        self.read_ops = 0
-        self.write_ops = 0
         #: Durable block layer; None (the default) keeps PR 1-5 behaviour:
         #: all file state is RAM-resident and nothing survives a crash.
         self.journal: Optional[JournalDevice] = None
@@ -61,11 +59,9 @@ class FlashStorage:
 
     def record_read(self, nbytes: int) -> None:
         self.bytes_read += nbytes
-        self.read_ops += 1
 
     def record_write(self, nbytes: int) -> None:
         self.bytes_written += nbytes
-        self.write_ops += 1
 
     def __repr__(self) -> str:
         return (
@@ -128,12 +124,6 @@ class JournalDevice:
         self.dirty: Dict[int, Set[int]] = {}
         self.inodes: Dict[int, object] = {}
         self.known_sizes: Dict[int, int] = {}
-        # -- counters -------------------------------------------------------
-        self.commits = 0
-        self.records_committed = 0
-        self.pages_flushed = 0
-        self.power_cuts = 0
-        self.remounts = 0
 
     # -- ino allocation ----------------------------------------------------
 
@@ -264,7 +254,6 @@ class JournalDevice:
             dest[block] = chunk
             self.storage.record_write(len(chunk))
             flushed += 1
-        self.pages_flushed += flushed
         return flushed
 
     def _commit_tail(self, upto: int) -> int:
@@ -273,8 +262,6 @@ class JournalDevice:
         committed = self.tail[:upto]
         del self.tail[:upto]
         self.media_journal.extend(committed)
-        self.commits += 1
-        self.records_committed += len(committed)
         return len(committed)
 
     # -- power loss --------------------------------------------------------
@@ -317,7 +304,6 @@ class JournalDevice:
         self.dirty = {}
         self.inodes = {}
         self.known_sizes = {}
-        self.power_cuts += 1
         return {
             "records_survived": survived_records,
             "records_lost": records_lost,
@@ -365,7 +351,6 @@ class JournalDevice:
                     files += 1
         finally:
             self.replaying = False
-        self.remounts += 1
         return {
             "records_replayed": applied,
             "emergency_pages": emergency_pages,

@@ -31,7 +31,6 @@ class TouchScreen:
     def __init__(self) -> None:
         self._queue: List[TouchEvent] = []
         self._listener: Optional[Callable[[TouchEvent], None]] = None
-        self.events_injected = 0
 
     def attach_driver(self, listener: Callable[[TouchEvent], None]) -> None:
         """The kernel driver registers its interrupt handler here."""
@@ -42,7 +41,6 @@ class TouchScreen:
 
     def inject(self, event: TouchEvent) -> None:
         """Hardware-level event injection (the user's finger)."""
-        self.events_injected += 1
         if self._listener is not None:
             self._listener(event)
         else:

@@ -203,7 +203,8 @@ class Dyld:
         """Resolve the dependency closure — a ``ios.dyld.load`` span, so
         the profiler shows exactly how much of every Mach-O exec is dyld
         walking the filesystem (the paper's §6.2 fork/exec story)."""
-        obs = ctx.machine.obs
+        machine = ctx.machine
+        obs = machine.obs
         if obs is None:
             return self._load_libraries_body(ctx, image)
         span = obs.enter_span("ios.dyld.load", image.name, None)
@@ -211,10 +212,10 @@ class Dyld:
             stats = self._load_libraries_body(ctx, image)
         finally:
             obs.exit_span(span)
-        obs.metrics.counter("ios.dyld.libs.loaded").inc(stats.libraries_loaded)
-        obs.metrics.counter("ios.dyld.libs.walked").inc(stats.walked_filesystem)
-        obs.metrics.counter("ios.dyld.libs.cached").inc(stats.from_cache)
-        obs.metrics.counter("ios.dyld.libs.closure").inc(stats.from_closure)
+        machine.count("ios.dyld.libs.loaded", stats.libraries_loaded)
+        machine.count("ios.dyld.libs.walked", stats.walked_filesystem)
+        machine.count("ios.dyld.libs.cached", stats.from_cache)
+        machine.count("ios.dyld.libs.closure", stats.from_closure)
         obs.metrics.gauge("ios.dyld.mapped.bytes").set(stats.mapped_bytes)
         return stats
 

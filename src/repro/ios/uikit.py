@@ -256,7 +256,6 @@ class UIApplication:
         self.window = UIWindow(0, 0, width, height, background=".")
         self.keyboard: Optional[UIView] = None
         self._terminated = False
-        self.memory_warnings = 0
         # UIKit apps start in the foreground jetsam band and subscribe to
         # kernel memory-pressure notifications: when jetsam runs an
         # episode the app hears ``didReceiveMemoryWarning`` *before* the
@@ -270,7 +269,6 @@ class UIApplication:
 
     def _memory_warning(self, level: str) -> None:
         """Kernel pressure callback → ``didReceiveMemoryWarning``."""
-        self.memory_warnings += 1
         self.dispatch_lifecycle("memory_warning")
 
     def _display_dims(self) -> tuple:

@@ -117,11 +117,6 @@ class _PressureDaemon:
             ):
                 self.handle_episode()
 
-    def _count(self, metric: str, amount: int = 1) -> None:
-        obs = self.kernel.machine.obs
-        if obs is not None:
-            obs.metrics.counter(metric).inc(amount)
-
     def _kill(self, process: "Process", reason: str, **detail: object) -> None:
         """Watchdog-pattern kill: tombstone, finalize, log."""
         with self.kernel.machine.span(
@@ -197,7 +192,7 @@ class JetsamDaemon(_PressureDaemon):
             callback(level)
             sent += 1
         if sent:
-            self._count("resources.memory.warnings", sent)
+            self.kernel.machine.count("resources.memory.warnings", sent)
         return sent
 
     def _run_evictors(self) -> int:
@@ -231,7 +226,7 @@ class JetsamDaemon(_PressureDaemon):
                 "jetsam: highest memory pressure",
                 band=victim.jetsam_priority,
             )
-            self._count("resources.jetsam.kills")
+            self.kernel.machine.count("resources.jetsam.kills")
         if envelope.pressure_level() == PRESSURE_NORMAL:
             self._warned.clear()
 
@@ -269,7 +264,7 @@ class LowMemoryKiller(_PressureDaemon):
                 f"lowmemorykiller: adj {victim.oom_adj} at {level} pressure",
                 adj=victim.oom_adj,
             )
-            self._count("resources.lmk.kills")
+            self.kernel.machine.count("resources.lmk.kills")
 
 
 def start_pressure_daemons(

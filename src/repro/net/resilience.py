@@ -191,11 +191,10 @@ class ResilienceEngine:
         machine.emit(
             "resilience", "breaker", host=host, old=old, new=new, why=why
         )
+        machine.count("resilience.breaker_transitions")
         obs = machine.obs
-        if obs is not None:
-            obs.metrics.counter("resilience.breaker_transitions").inc()
-            if obs.causal is not None:
-                obs.causal.follow(f"breaker {host} {old}->{new}")
+        if obs is not None and obs.causal is not None:
+            obs.causal.follow(f"breaker {host} {old}->{new}")
 
     def _sleep(self, ctx: "UserContext", ns: float) -> None:
         libc = ctx.libc
@@ -232,9 +231,7 @@ class ResilienceEngine:
                 self._transition(ctx, host, hs, HALF_OPEN, "cooldown elapsed")
             else:
                 self.fastfails += 1
-                obs = machine.obs
-                if obs is not None:
-                    obs.metrics.counter("resilience.fastfails").inc()
+                machine.count("resilience.fastfails")
                 return FetchResult(
                     -1, b"", errno=ECONNREFUSED, attempts=0, fastfail=True
                 )
@@ -261,9 +258,7 @@ class ResilienceEngine:
                 )
             errno = ctx.libc.errno
             hs.consecutive_failures += 1
-            obs = machine.obs
-            if obs is not None:
-                obs.metrics.counter("resilience.attempt_failures").inc()
+            machine.count("resilience.attempt_failures")
             if hs.state == HALF_OPEN:
                 self._transition(ctx, host, hs, OPEN, "probe failed")
                 break
@@ -279,6 +274,7 @@ class ResilienceEngine:
                 machine.emit("resilience", "budget_exhausted", host=host)
                 break
             self.retries_spent += 1
+            obs = machine.obs
             if obs is not None and obs.causal is not None:
                 obs.causal.follow(f"retry {host}{path} #{attempt + 1}")
             p95 = self._p95(hs)
@@ -287,8 +283,7 @@ class ResilienceEngine:
                 # go again immediately instead of backing off further.
                 hedged = True
                 self.hedges += 1
-                if obs is not None:
-                    obs.metrics.counter("resilience.hedges").inc()
+                machine.count("resilience.hedges")
                 continue
             backoff_ns = policy.backoff_base_ns * (
                 policy.backoff_multiplier ** (attempt - 1)

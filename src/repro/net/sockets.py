@@ -221,9 +221,6 @@ class INetSocket(OpenFile):
         self._dgram_waitq = WaitQueue("inet-dgram")
         if sock_type == SOCK_DGRAM:
             self.read_waitq = self._dgram_waitq
-        # Per-socket byte counters (repro.obs reads the aggregates).
-        self.tx_bytes = 0
-        self.rx_bytes = 0
         # Socket buffers are real memory: charge the machine envelope.
         self._ram_reserved = 0
         res = machine.resources
@@ -276,9 +273,7 @@ class INetSocket(OpenFile):
         connection.b_to_a.waitq.wake_all()
         machine = self.machine
         machine.emit("net", "reset", sock=self.sock_id, why=why)
-        obs = machine.obs
-        if obs is not None:
-            obs.metrics.counter("kernel.net.resets").inc()
+        machine.count("kernel.net.resets")
 
     def _keepalive_probe(self, connection: TCPConnection, misses: int) -> int:
         """One keepalive probe over an idle connection; returns the
@@ -659,10 +654,7 @@ class INetSocket(OpenFile):
             stack.log_segment(proto, src, dst, nbytes, flag=f"segs={segments}")
             stack.segments_sent += segments
             stack.bytes_sent += nbytes
-            self.tx_bytes += nbytes
-        obs = machine.obs
-        if obs is not None:
-            obs.metrics.counter("kernel.net.bytes_sent").inc(nbytes)
+        machine.count("kernel.net.bytes_sent", nbytes)
         return True
 
     def _charge_rx(self, link: "LinkProfile", nbytes: int, proto: str) -> None:
@@ -673,11 +665,8 @@ class INetSocket(OpenFile):
             machine.charge("net_rx_per_segment", segments)
             if kb:
                 machine.charge("net_rx_per_kb", kb)
-        self.rx_bytes += nbytes
         self.stack.bytes_received += nbytes
-        obs = machine.obs
-        if obs is not None:
-            obs.metrics.counter("kernel.net.bytes_received").inc(nbytes)
+        machine.count("kernel.net.bytes_received", nbytes)
 
     # -- stream I/O ----------------------------------------------------------
 

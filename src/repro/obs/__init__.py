@@ -8,6 +8,14 @@ exporters).  Install on a machine with::
     print(text_report(obs))
     write_chrome_trace(obs, "trace.json")
 
+Each event is counted in one place and every other view reads it: a
+finished span lands once in the profiler's flame tree, which the
+per-subsystem table and the ``<subsystem>.calls`` metrics sum; token
+handoffs are ``Scheduler.switches``, reported since attach as
+``sim.sched.switches``; every other named counter is bumped through
+``Machine.count``.  The flight recorder keeps its own ring (see
+:mod:`repro.obs.flightrec`).
+
 Everything is off by default; instrumented fast paths pay exactly one
 ``machine.obs is None`` test, and no telemetry code ever charges the
 virtual clock — enabling observability cannot perturb measured virtual

@@ -130,14 +130,21 @@ class CausalTracer:
         }
         record.update(fields)
         self.events.append(record)
-        rec = self.machine.flightrec
-        if rec is not None:
-            detail = " ".join(
+        self._flight(
+            record["ts_ps"],
+            kind,
+            " ".join(
                 f"{key}={record[key]}"
                 for key in ("trace", "span", "flow", "name")
                 if record.get(key) is not None
-            )
-            rec.record(record["ts_ps"], kind, detail)
+            ),
+        )
+
+    def _flight(self, ts_ps: int, kind: str, detail: str) -> None:
+        """One line in the machine's flight recorder, when installed."""
+        rec = self.machine.flightrec
+        if rec is not None:
+            rec.record(ts_ps, kind, detail)
 
     # -- trace lifecycle ----------------------------------------------------
 
@@ -223,14 +230,12 @@ class CausalTracer:
         span.span_id = self._next_span()
         span.parent_span_id = ctx.span_id
         ctx.span_id = span.span_id
-        rec = self.machine.flightrec
-        if rec is not None:
-            rec.record(
-                span.start_ps,
-                "span.enter",
-                f"trace={span.trace_id} span={span.span_id} "
-                f"{span.subsystem}:{span.name}",
-            )
+        self._flight(
+            span.start_ps,
+            "span.enter",
+            f"trace={span.trace_id} span={span.span_id} "
+            f"{span.subsystem}:{span.name}",
+        )
 
     def on_close(self, span: "Span") -> None:
         if span.span_id is None:
@@ -249,14 +254,12 @@ class CausalTracer:
                     break
         if ctx is not None:
             ctx.span_id = span.parent_span_id
-        rec = self.machine.flightrec
-        if rec is not None:
-            rec.record(
-                span.end_ps or 0,
-                "span.close",
-                f"trace={span.trace_id} span={span.span_id} "
-                f"{span.subsystem}:{span.name} total_ps={span.total_ps}",
-            )
+        self._flight(
+            span.end_ps or 0,
+            "span.close",
+            f"trace={span.trace_id} span={span.span_id} "
+            f"{span.subsystem}:{span.name} total_ps={span.total_ps}",
+        )
 
     def _row(self, span: "Span", aborted: bool = False) -> Dict[str, object]:
         row: Dict[str, object] = {

@@ -19,6 +19,9 @@ The ring itself lives on the :class:`~repro.hw.machine.Machine` and is
 deliberately *not* cleared by ``Machine.reboot`` (it is the one device
 whose whole point is surviving that).  Reading the flushed tail consumes
 it, exactly like ``/sys/fs/pstore`` files being deleted after read.
+Nor is it the machine's :class:`~repro.sim.trace.Trace` event ring: that
+ring is off by default and stamps events in whole nanoseconds, while the
+recorder must hold picosecond-stamped causal lines whenever installed.
 
 Every line is pure virtual-time + counter data — two same-seed runs
 produce byte-identical tails, which the determinism CI job diffs.

@@ -4,6 +4,7 @@ Metric names follow the ``subsystem.verb.unit`` convention used across
 the stack — ``kernel.trap.calls``, ``xnu.ipc.send.ns``,
 ``diplomacy.call.ns``, ``sim.sched.switches`` — so a snapshot sorts into
 a readable per-subsystem report and two snapshots diff mechanically.
+Instrumented code counts through ``Machine.count``.
 
 Histograms use **fixed** bucket boundaries over virtual nanoseconds and
 report deterministic percentiles (the upper bound of the bucket holding
@@ -14,7 +15,7 @@ baselines.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 #: Default latency buckets (virtual ns): 100ns … 1s, geometric, plus
 #: an overflow bucket.  Chosen to straddle everything from a persona
@@ -154,10 +155,17 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """All metrics of one machine, keyed by ``subsystem.verb.unit`` name."""
+    """All metrics of one machine, keyed by ``subsystem.verb.unit`` name.
+
+    ``derived``, when set, yields ``(name, value)`` pairs for counters
+    another view already counts (the observatory's ``<subsystem>.calls``
+    and ``sim.sched.switches``).  Every read includes them; nothing here
+    stores or increments them.
+    """
 
     def __init__(self) -> None:
         self._metrics: Dict[str, object] = {}
+        self.derived: Optional[Callable[[], Iterable[Tuple[str, int]]]] = None
 
     # -- constructors (get-or-create, type-checked) -------------------------
 
@@ -193,25 +201,36 @@ class MetricsRegistry:
 
     # -- introspection ------------------------------------------------------
 
+    def _all(self) -> Dict[str, object]:
+        """The counted metrics plus the derived counters."""
+        if self.derived is None:
+            return self._metrics
+        metrics = dict(self._metrics)
+        for name, value in self.derived():
+            counter = metrics[name] = Counter(name)
+            counter.value = value
+        return metrics
+
     def get(self, name: str) -> Optional[object]:
-        return self._metrics.get(name)
+        return self._all().get(name)
 
     def names(self) -> List[str]:
-        return sorted(self._metrics)
+        return sorted(self._all())
 
     def __contains__(self, name: str) -> bool:
-        return name in self._metrics
+        return name in self._all()
 
     def __len__(self) -> int:
-        return len(self._metrics)
+        return len(self._all())
 
     # -- snapshot / diff ----------------------------------------------------
 
     def snapshot(self) -> Dict[str, Dict[str, object]]:
         """A deterministic (name-sorted) dump of every metric."""
+        metrics = self._all()
         return {
-            name: self._metrics[name].snapshot()  # type: ignore[attr-defined]
-            for name in sorted(self._metrics)
+            name: metrics[name].snapshot()  # type: ignore[attr-defined]
+            for name in sorted(metrics)
         }
 
     @staticmethod

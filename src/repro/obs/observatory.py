@@ -1,9 +1,14 @@
 """The per-machine observability hub.
 
-An :class:`Observatory` bundles the three telemetry surfaces of one
-machine — hierarchical spans + virtual-time profiler, the typed metrics
-registry, and the span-event buffer the exporters read — behind a single
-install point (:meth:`repro.hw.machine.Machine.install_observatory`).
+An :class:`Observatory` bundles the telemetry of one machine behind a
+single install point (:meth:`repro.hw.machine.Machine.install_observatory`):
+hierarchical spans and the virtual-time profiler, the typed metrics
+registry, and the span-event buffer the exporters read.  Each event is
+counted in one place.  A finished span lands once in the profiler's flame
+tree (plus its ``<subsystem>.ns`` latency histogram), and the metrics
+registry reads ``<subsystem>.calls`` from that tree and
+``sim.sched.switches`` from the scheduler's own switch count, instead of
+counting either again.
 
 Disabled is the default and costs one ``is None`` test at every
 instrumentation site, exactly like ``Trace.enabled`` and
@@ -14,7 +19,7 @@ or disabling observability cannot change a workload's virtual-ns totals
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
 from ..sim.clock import PSEC_PER_NSEC
 from .metrics import MetricsRegistry
@@ -63,28 +68,24 @@ class _SpanContext:
 class Observatory:
     """Spans + profiler + metrics + exportable event buffer."""
 
-    def __init__(
-        self,
-        record_span_events: bool = True,
-        max_span_events: int = 1_000_000,
-    ) -> None:
+    def __init__(self, max_span_events: int = 1_000_000) -> None:
         self.metrics = MetricsRegistry()
+        self.metrics.derived = self._derived_counters
         self.profiler = Profiler()
         self.profiler.on_span_closed = self._on_span_closed
-        #: Record B/E span events for the Chrome-trace exporter.  Span
-        #: accounting and metrics stay on when this is off.
-        self.record_span_events = record_span_events
+        #: B/E span events for the Chrome-trace exporter, capped at
+        #: ``max_span_events`` (later events are counted as dropped).
         self.max_span_events = max_span_events
         self.span_events: List[SpanEvent] = []
         self.dropped_span_events = 0
-        #: Record per-span latency histograms (``<subsystem>.ns``).
-        self.record_latency_histograms = True
         #: Optional :class:`~repro.obs.causal.CausalTracer` — installed
         #: via :meth:`repro.hw.machine.Machine.install_causal_tracer`.
         self.causal = None
         self._machine: Optional["Machine"] = None
         #: ``clock.charged_ps`` at attach time — profiling starts here.
         self.attach_charged_ps = 0
+        #: ``scheduler.switches`` at attach time.
+        self._attach_switches = 0
 
     # -- wiring -------------------------------------------------------------
 
@@ -95,6 +96,7 @@ class Observatory:
         self.profiler.current_context = lambda: scheduler._current
         self.profiler.context_identity = self._identity
         self.attach_charged_ps = machine.clock.charged_ps
+        self._attach_switches = scheduler.switches
 
     @staticmethod
     def _identity(context: object) -> Tuple[int, str]:
@@ -126,8 +128,7 @@ class Observatory:
         span = self.profiler.enter_span(subsystem, name, attrs, now_ps)
         if self.causal is not None:
             self.causal.on_enter(span)
-        if self.record_span_events:
-            self._record_event("B", now_ps, span)
+        self._record_event("B", now_ps, span)
         return span
 
     def exit_span(self, span: Span) -> None:
@@ -138,11 +139,8 @@ class Observatory:
         force-closed during exception unwind)."""
         if self.causal is not None:
             self.causal.on_close(span)
-        if self.record_span_events:
-            self._record_event("E", span.end_ps or 0, span)
-        if self.record_latency_histograms:
-            self.metrics.histogram(f"{span.subsystem}.ns").record(span.total_ns)
-            self.metrics.counter(f"{span.subsystem}.calls").inc()
+        self._record_event("E", span.end_ps or 0, span)
+        self.metrics.histogram(f"{span.subsystem}.ns").record(span.total_ns)
 
     def _record_event(self, phase: str, now_ps: int, span: Span) -> None:
         if len(self.span_events) >= self.max_span_events:
@@ -161,34 +159,41 @@ class Observatory:
         )
 
     def pending_close_events(self, aborted: bool = False) -> List[SpanEvent]:
-        """Synthetic ``E`` events (at the current virtual time) for spans
-        still open — daemon service loops parked in ``mach_msg_receive``
-        hold their span across the whole run.  The Chrome exporter appends
-        these so the emitted trace is always balanced; the live spans are
-        *not* closed.  ``aborted`` tags each synthetic close — used when
-        exporting from a machine that panicked mid-span."""
+        """Synthetic ``E`` events (at the current virtual time), innermost
+        first per thread, for every recorded ``B`` whose ``E`` is not in
+        the buffer: spans still open — daemon service loops parked in
+        ``mach_msg_receive`` hold their span across the whole run — and
+        spans that closed after a full buffer dropped their ``E``.  The
+        Chrome exporter appends these so the emitted trace is always
+        balanced; the live spans are *not* closed.  ``aborted`` tags each
+        synthetic close — used when exporting from a machine that
+        panicked mid-span."""
         now_ps = self._machine.clock.now_ps if self._machine is not None else 0
-        events: List[SpanEvent] = []
         attrs = {"aborted": True} if aborted else None
-        for stack in self.profiler._stacks.values():
-            for span in reversed(stack):
-                events.append(
-                    (
-                        "E",
-                        now_ps,
-                        span.tid,
-                        span.thread_name,
-                        span.subsystem,
-                        span.name,
-                        attrs,
-                    )
-                )
-        return events
+        unclosed: Dict[int, List[SpanEvent]] = {}
+        for event in self.span_events:
+            stack = unclosed.setdefault(event[2], [])
+            if event[0] == "B":
+                stack.append(event)
+            else:
+                stack.pop()
+        return [
+            ("E", now_ps, tid, thread_name, subsystem, name, attrs)
+            for stack in unclosed.values()
+            for _, _, tid, thread_name, subsystem, name, _ in reversed(stack)
+        ]
 
-    # -- scheduler hook -----------------------------------------------------
+    # -- counters read from other views -------------------------------------
 
-    def on_context_switch(self, from_name: str, to_name: str) -> None:
-        self.metrics.counter("sim.sched.switches").inc()
+    def _derived_counters(self) -> Iterator[Tuple[str, int]]:
+        """``<subsystem>.calls`` from the profiler's flame tree and
+        ``sim.sched.switches`` from the scheduler, both since attach."""
+        for stat in self.profiler.subsystem_table():
+            yield f"{stat.subsystem}.calls", stat.calls
+        if self._machine is not None:
+            switches = self._machine.scheduler.switches - self._attach_switches
+            if switches:
+                yield "sim.sched.switches", switches
 
     # -- summary numbers ----------------------------------------------------
 

@@ -2,15 +2,18 @@
 
 Attributes every ``VirtualClock.charge`` to the innermost open span of
 the *currently running* simulated thread (or to the controller context
-when no simulated thread holds the token), and aggregates finished spans
-into two deterministic tables:
+when no simulated thread holds the token), and aggregates each finished
+span into exactly one place: a **flame tree** keyed by the span path
+(root subsystem → … → leaf), rendered as a ``perf report``-style folded
+table.  Every other view reads that tree:
 
-* a **per-subsystem table** — subsystem → (calls, self-ps, total-ps) —
-  which answers the paper's §6 question "where does the overhead come
-  from" with hard numbers (self time sums exactly to the clock's charged
-  total, see :meth:`Profiler.conservation_check`);
-* a **flame tree** keyed by the span path (root subsystem → … → leaf),
-  rendered as a ``perf report``-style folded table.
+* the **per-subsystem table** — subsystem → (calls, self-ps, total-ps) —
+  sums the tree's nodes by label, and answers the paper's §6 question
+  "where does the overhead come from" with hard numbers (self time sums
+  exactly to the clock's charged total, see
+  :meth:`Profiler.conservation_check`);
+* the observatory's ``<subsystem>.calls`` counters are that table's
+  ``calls`` column.
 
 All accounting is exact integer picoseconds; nothing here ever charges
 the clock.
@@ -18,7 +21,7 @@ the clock.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..sim.clock import PSEC_PER_NSEC
 from .spans import Span
@@ -28,7 +31,8 @@ UNATTRIBUTED = "(unattributed)"
 
 
 class SubsystemStat:
-    """Aggregate of every finished span of one subsystem label."""
+    """Every finished span of one subsystem label, summed from the flame
+    tree by :meth:`Profiler.subsystem_table`."""
 
     __slots__ = ("subsystem", "calls", "self_ps", "total_ps")
 
@@ -89,7 +93,6 @@ class Profiler:
         #: events and latency histograms from it).
         self.on_span_closed: Optional[Callable[[Span], None]] = None
         self._stacks: Dict[object, List[Span]] = {}
-        self._subsystems: Dict[str, SubsystemStat] = {}
         self._flame_root = FlameNode("(root)")
         #: Exact totals (integer ps).
         self.unattributed_ps = 0
@@ -149,15 +152,7 @@ class Profiler:
         span.end_ps = now_ps
         if span.parent is not None and not span.parent.closed:
             span.parent.child_ps += span.total_ps
-        # Per-subsystem aggregate.
-        stat = self._subsystems.get(span.subsystem)
-        if stat is None:
-            stat = SubsystemStat(span.subsystem)
-            self._subsystems[span.subsystem] = stat
-        stat.calls += 1
-        stat.self_ps += span.self_ps
-        stat.total_ps += span.total_ps
-        # Flame tree along the subsystem path.
+        # The one aggregate: the flame tree along the subsystem path.
         node = self._flame_root
         for label in span.path():
             node = node.child(label)
@@ -180,12 +175,29 @@ class Profiler:
 
     # -- tables -------------------------------------------------------------
 
+    def _nodes(self) -> Iterator[FlameNode]:
+        """Every flame-tree node below the root, depth first."""
+        pending = list(self._flame_root.children.values())
+        while pending:
+            node = pending.pop()
+            yield node
+            pending.extend(node.children.values())
+
     def subsystem_table(self) -> List[SubsystemStat]:
-        """Per-subsystem stats, heaviest self-time first (ties by name)."""
-        return sorted(
-            self._subsystems.values(),
-            key=lambda s: (-s.self_ps, s.subsystem),
-        )
+        """Per-subsystem stats, heaviest self-time first (ties by name):
+        the flame tree's nodes summed by label.  A label with no finished
+        span (a node that only parents still-open spans) has no row."""
+        stats: Dict[str, SubsystemStat] = {}
+        for node in self._nodes():
+            if not node.calls:
+                continue
+            stat = stats.get(node.label)
+            if stat is None:
+                stat = stats[node.label] = SubsystemStat(node.label)
+            stat.calls += node.calls
+            stat.self_ps += node.self_ps
+            stat.total_ps += node.total_ps
+        return sorted(stats.values(), key=lambda s: (-s.self_ps, s.subsystem))
 
     def flame_root(self) -> FlameNode:
         return self._flame_root
@@ -227,7 +239,7 @@ class Profiler:
         self-ps of spans still open.  By construction this equals
         :attr:`observed_ps` — every charged picosecond lands in exactly
         one bucket."""
-        closed = sum(stat.self_ps for stat in self._subsystems.values())
+        closed = sum(node.self_ps for node in self._nodes())
         return closed + self.unattributed_ps + self.open_self_ps()
 
     def conservation_check(self) -> bool:

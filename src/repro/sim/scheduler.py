@@ -308,10 +308,10 @@ class Scheduler:
         #: Optional hook ``fn(sim_thread)`` invoked before a watchdog
         #: kill — the kernel uses it to tombstone the owning process.
         self.on_watchdog_kill: Optional[Callable[["SimThread"], None]] = None
-        #: Observability: when an observatory is installed on the owning
-        #: machine, context switches are counted here.  None on the fast
-        #: path — one boolean test per dispatch.
-        self.obs: Optional[object] = None
+        #: Token handoffs between holders (a thread or the controller)
+        #: since this scheduler was built; an observatory reports the
+        #: ones since its attach as ``sim.sched.switches``.
+        self.switches = 0
         #: Pluggable schedule policy (repro.sim.explore).  None selects
         #: the historical strict-FIFO pick untouched; a policy sees every
         #: multi-candidate choice point and decides which READY thread
@@ -781,11 +781,7 @@ class Scheduler:
             from_thread.blocked_since_ns = None
             from_thread.last_ran_ns = self.clock.now_ns
             return  # sole runnable thread: keep running
-        if self.obs is not None:
-            self.obs.on_context_switch(
-                from_thread.name,
-                target.name if target is not None else "controller",
-            )
+        self.switches += 1
         self._current = target if target is not None else self._controller
         self._current._wake()
         from_thread._wait_for_token()
@@ -796,8 +792,7 @@ class Scheduler:
         target = self._pick_next()
         if target is None:
             return
-        if self.obs is not None:
-            self.obs.on_context_switch("controller", target.name)
+        self.switches += 1
         self._current = target
         target._wake()
         self._controller._wait_for_token()

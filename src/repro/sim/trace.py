@@ -48,13 +48,12 @@ class TraceEvent:
 
 
 class Trace:
-    """Bounded event log with per-category counters.
+    """Bounded event log with per-(category, name) counters.
 
     Counters are always maintained (they are cheap and power assertions
     such as "N syscalls were dispatched through the XNU table"); full event
-    records are kept only while :attr:`enabled` is True.  Category rollups
-    are kept alongside the per-(category, name) counters so that
-    ``count(category)`` is O(1) rather than a scan of every key.
+    records are kept only while :attr:`enabled` is True.  Each event bumps
+    exactly one counter; ``count(category)`` sums that category's names.
     """
 
     def __init__(self, capacity: int = 100_000) -> None:
@@ -63,7 +62,6 @@ class Trace:
         self._capacity = capacity
         self._events: Deque[TraceEvent] = deque(maxlen=capacity)
         self._counters: Dict[Tuple[str, str], int] = {}
-        self._category_totals: Dict[str, int] = {}
 
     # -- enable/disable -----------------------------------------------------
 
@@ -93,9 +91,6 @@ class Trace:
     ) -> None:
         key = (category, name)
         self._counters[key] = self._counters.get(key, 0) + 1
-        self._category_totals[category] = (
-            self._category_totals.get(category, 0) + 1
-        )
         if self._enabled:
             self._events.append(
                 TraceEvent(int(round(clock_now_ns)), category, name, dict(detail))
@@ -110,16 +105,14 @@ class Trace:
         — no kwargs dict, no tuple construction, no event record.
         """
         self._counters[key] = self._counters.get(key, 0) + 1
-        category = key[0]
-        self._category_totals[category] = (
-            self._category_totals.get(category, 0) + 1
-        )
 
     def count(self, category: str, name: Optional[str] = None) -> int:
         """Events counted for ``category`` (optionally a specific name)."""
         if name is not None:
             return self._counters.get((category, name), 0)
-        return self._category_totals.get(category, 0)
+        return sum(
+            total for (cat, _), total in self._counters.items() if cat == category
+        )
 
     def events(
         self, category: Optional[str] = None, name: Optional[str] = None
@@ -157,7 +150,6 @@ class Trace:
     def clear(self) -> None:
         self._events.clear()
         self._counters.clear()
-        self._category_totals.clear()
 
     def __iter__(self) -> Iterator[TraceEvent]:
         return iter(list(self._events))

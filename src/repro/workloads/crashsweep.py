@@ -262,20 +262,9 @@ def sample_sites(
     ]
 
 
-def sweep_site(
-    point: str, nth: int, kind: str, observe: bool = False
-) -> Tuple[str, bool]:
-    """One crash–reboot–fsck–verify cycle; returns (report line, ok).
-
-    ``observe`` installs an observatory on the swept machine so each
-    iteration's attempt and recovery phases are profiled spans (the
-    default stays bare: the sweep report must be byte-identical with
-    and without observability).
-    """
+def sweep_site(point: str, nth: int, kind: str) -> Tuple[str, bool]:
+    """One crash–reboot–fsck–verify cycle; returns (report line, ok)."""
     system = _build_system()
-    machine = system.machine
-    if observe:
-        machine.install_observatory()
     outcome = (
         FaultOutcome.power_loss()
         if kind == "power_loss"
@@ -296,8 +285,7 @@ def sweep_site(
     label = f"{point}#{nth} {kind}"
     crashed = False
     try:
-        with machine.span("workload.crashsweep", "attempt", site=label):
-            _run_workload(system)
+        _run_workload(system)
     except MachinePanic:
         crashed = True
     except DeadlockError:
@@ -312,12 +300,11 @@ def sweep_site(
         system.shutdown()
         return f"crashsweep: {label}: NOT-REACHED", False
 
-    with machine.span("workload.crashsweep", "recover", site=label):
-        system.reboot(reason=f"crashsweep {label}")
-        fsck_ok = system.fsck_report is not None and system.fsck_report.ok
-        lenient_ok = _run_verify(system, strict=False) == 0
-        rerun_ok = _run_workload(system) == 0
-        strict_ok = _run_verify(system, strict=True) == 0
+    system.reboot(reason=f"crashsweep {label}")
+    fsck_ok = system.fsck_report is not None and system.fsck_report.ok
+    lenient_ok = _run_verify(system, strict=False) == 0
+    rerun_ok = _run_workload(system) == 0
+    strict_ok = _run_verify(system, strict=True) == 0
     ok = fsck_ok and lenient_ok and rerun_ok and strict_ok
     system.shutdown()
     line = (

@@ -12,7 +12,7 @@ Record (only when a PR *intends* to change default-config virtual time)::
     PYTHONPATH=src python -m repro.workloads.golden --record
 
 Verify (what ``tests/integration/test_golden_virtual_time.py`` and the
-``golden-virtual-time`` CI job do)::
+``golden`` row of the ``determinism`` CI job do)::
 
     PYTHONPATH=src python -m repro.workloads.golden --verify
 """

@@ -271,7 +271,7 @@ def install_netbench_world(system) -> None:
     )
 
 
-def build_world(durable: bool = False, flightrec_capacity=None):
+def build_world(durable: bool = False):
     """A Cider client plus a vanilla-Android origin on one segment, both
     with observatories, causal tracers and flight recorders installed.
     Returns ``(client, origin)`` — drive them with
@@ -286,7 +286,7 @@ def build_world(durable: bool = False, flightrec_capacity=None):
     for system, node in ((client, "client"), (origin, "origin")):
         system.machine.install_observatory()
         system.machine.install_causal_tracer(node=node)
-        system.machine.install_flight_recorder(flightrec_capacity)
+        system.machine.install_flight_recorder()
     start_httpd_android(origin)
     origin.run_until_idle()  # let the origin reach its accept loop
     client.machine.net.connect_peer(origin.machine.net)

@@ -174,7 +174,6 @@ class IOKitFramework:
         self._connections: Dict[int, IOUserClient] = {}
         self._next_service_id = 0x1001
         self._next_connect_id = 0x5001
-        self.matches_performed = 0
 
     # -- driver registration -----------------------------------------------------
 
@@ -205,7 +204,6 @@ class IOKitFramework:
         self, nub: IOService, only: Optional[DriverPersonality] = None
     ) -> Optional[IOService]:
         candidates = [only] if only is not None else self._personalities
-        self.matches_performed += 1
         best: Optional[Tuple[int, DriverPersonality]] = None
         for personality in candidates:
             if personality is None or not personality.matches(self.runtime, nub):

@@ -39,7 +39,6 @@ class PsynchSupport:
     def __init__(self, xnu: XNUKernelAPI) -> None:
         self.xnu = xnu
         self._kwqs: Dict[Tuple[int, int], _KernelWaitQueue] = {}
-        self.contended_waits = 0
 
     def _kwq(self, task: object, user_addr: int) -> _KernelWaitQueue:
         key = (id(task), user_addr)
@@ -63,7 +62,6 @@ class PsynchSupport:
         kwq = self._kwq(task, mutex_addr)
         while kwq.locked:
             kwq.waiters += 1
-            self.contended_waits += 1
             self.xnu.thread_block(kwq.event)
             kwq.waiters -= 1
         kwq.locked = True

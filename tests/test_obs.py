@@ -505,6 +505,9 @@ class TestSpanEventBuffer:
             assert obs.dropped_span_events > 0
             # Profiler aggregation is unaffected by event drops.
             assert obs.profiler.conservation_check()
+            # Every kept B is closed in the export, even when the buffer
+            # was full by the time its span ended.
+            assert validate_chrome_trace(chrome_trace(obs)) == []
         finally:
             system.shutdown()
 
