@@ -16,6 +16,12 @@ per-library callbacks whose cost dominates the paper's fork/exec numbers:
 Each loaded image registers a pthread_atfork handler set and an exit
 callback in libSystem — "resulting in the execution of 115 handlers on
 exit" (§6.2).
+
+The simulator itself need not redo a walk it has already done: a walk
+nothing observes is recorded once per dependency root as a
+:class:`WalkPlan` and replayed while everything it read is unchanged.
+The replay charges the same picoseconds and maps the same regions in the
+same order, so the simulated walk, and its virtual time, stay as above.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from ..kernel.vfs import RegularFile
 
 if TYPE_CHECKING:
     from ..kernel.process import UserContext
+    from ..kernel.vfs import VFS, Directory, Inode
 
 #: Where iOS keeps the prelinked cache.
 SHARED_CACHE_PATH = (
@@ -93,20 +100,69 @@ class LaunchClosure:
     open-walk-link.
     """
 
-    __slots__ = ("image", "generation", "entries", "cache_total_bytes")
+    __slots__ = ("image", "generation", "plan")
 
-    def __init__(
-        self,
-        image: BinaryImage,
-        generation: int,
-        entries: List,
-        cache_total_bytes: int,
-    ) -> None:
+    def __init__(self, image: BinaryImage, generation: int, plan: "WalkPlan") -> None:
         self.image = image
         self.generation = generation
-        #: Ordered ``(lib_image, from_cache)`` pairs.
-        self.entries = entries
-        self.cache_total_bytes = cache_total_bytes
+        #: The walk this closure was built from: its ordered entries and
+        #: the cache size it mapped.
+        self.plan = plan
+
+
+class WalkPlan:
+    """A recorded cold walk of one dependency root, replayed host-side.
+
+    Virtual time is a pure function of simulator state, so a walk that
+    reads the same state charges the same picoseconds and maps the same
+    regions.  The cold walk records what it did and what it read; while
+    everything it read is unchanged, :meth:`Dyld._replay_plan` repeats
+    the charges and maps without walking the filesystem again.  The
+    simulated walk is unchanged: ``last_stats`` still reports every
+    library as walked.
+    """
+
+    def __init__(self, cache_generation: int) -> None:
+        #: One ``(lib, from_cache, ps, region, size)`` per loaded library
+        #: in load order: the picoseconds charged since the previous map,
+        #: then the region mapped (``None`` when the library maps nothing,
+        #: as prelinked images after the first do).
+        self.entries: List[tuple] = []
+        #: Picoseconds charged after the last map.
+        self.tail_ps = 0
+        #: What the walk reports; every replay returns it as is.
+        self.stats = DyldStats()
+        #: Size of the shared-cache region the walk mapped (0 if none).
+        self.cache_total_bytes = 0
+        #: What the walk read: the shared-cache generation, every
+        #: directory a lookup went through (with its generation at the
+        #: time), each walked file with the image it held, and the cache
+        #: file with the cache it held.
+        self.cache_generation = cache_generation
+        self.dirs: Dict[Directory, int] = {}
+        self.files: List[tuple] = []
+        self.cache_file: Optional[Inode] = None
+        self.cache: object = None
+
+    def read_path(self, vfs: "VFS", path: str) -> None:
+        for directory in vfs.dirs_read(path):
+            self.dirs.setdefault(directory, directory.generation)
+
+    def valid(self, cache_generation: int) -> bool:
+        """True while nothing the walk read has changed."""
+        if cache_generation != self.cache_generation:
+            return False
+        for directory, generation in self.dirs.items():
+            if directory.generation != generation:
+                return False
+        for node, image in self.files:
+            if node.binary_image is not image:
+                return False
+        cache_file = self.cache_file
+        return (
+            cache_file is None
+            or getattr(cache_file, "shared_cache", None) is self.cache
+        )
 
 
 class SharedCache:
@@ -163,14 +219,19 @@ class Dyld:
         #: True once :func:`evict_shared_cache` is on the kernel's
         #: pressure-evictor list (registered on first cache map).
         self._evictor_registered = False
-        #: Shared-cache generation: closures prebuilt against an older
-        #: generation fail validation and are rebuilt.
+        #: Shared-cache generation: closures and walk plans recorded
+        #: against an older generation fail validation.
         self.cache_generation = 0
         self._closures: Dict[str, LaunchClosure] = {}
+        #: Host-side walk plans, one per dependency root
+        #: (``tuple(image.deps)``).  Clearing it forces the next exec of
+        #: each root to walk cold.
+        self.plans: Dict[tuple, WalkPlan] = {}
 
     def invalidate_closures(self) -> None:
-        """Drop every prebuilt closure and move the cache generation on
-        (called when the shared cache is evicted under pressure)."""
+        """Drop every prebuilt closure and move the cache generation on,
+        which also invalidates every walk plan (called when the shared
+        cache is evicted under pressure)."""
         self.cache_generation += 1
         self._closures.clear()
 
@@ -189,14 +250,22 @@ class Dyld:
 
     # -- library loading ------------------------------------------------------------
 
-    def _resolve_cache(self, ctx: "UserContext") -> Optional[SharedCache]:
+    def _resolve_cache(
+        self, ctx: "UserContext", plan: Optional[WalkPlan]
+    ) -> Optional[SharedCache]:
         if not self.use_shared_cache:
             return None
+        vfs = ctx.kernel.vfs
+        if plan is not None:
+            plan.read_path(vfs, SHARED_CACHE_PATH)
         try:
-            node = ctx.kernel.vfs.resolve(SHARED_CACHE_PATH)
+            node = vfs.resolve(SHARED_CACHE_PATH)
         except SyscallError:
             return None
         cache = getattr(node, "shared_cache", None)
+        if plan is not None:
+            plan.cache_file = node
+            plan.cache = cache
         return cache if isinstance(cache, SharedCache) else None
 
     def _load_libraries(self, ctx: "UserContext", image: BinaryImage) -> DyldStats:
@@ -222,8 +291,6 @@ class Dyld:
     def _load_libraries_body(
         self, ctx: "UserContext", image: BinaryImage
     ) -> DyldStats:
-        machine = ctx.machine
-        process = ctx.process
         if self.use_closures:
             closure = self._closures.get(image.name)
             if (
@@ -232,8 +299,46 @@ class Dyld:
                 and closure.image is image
             ):
                 return self._replay_closure(ctx, closure)
-        stats = DyldStats()
-        cache = self._resolve_cache(ctx)
+        machine = ctx.machine
+        # Plans are only for walks nothing watches: spans, counters,
+        # fault points and dcache statistics all come from a cold walk.
+        planned = (
+            machine.obs is None
+            and machine.faults is None
+            and not ctx.kernel.vfs.dcache_enabled
+        )
+        key = tuple(image.deps)
+        plan = self.plans.get(key) if planned else None
+        if plan is not None and plan.valid(self.cache_generation):
+            stats = self._replay_plan(ctx, plan)
+        else:
+            plan = WalkPlan(self.cache_generation)
+            stats = self._walk(ctx, image, plan, planned)
+            if planned:
+                self.plans[key] = plan
+        if self.use_closures:
+            self._closures[image.name] = LaunchClosure(
+                image, self.cache_generation, plan
+            )
+        return stats
+
+    def _walk(
+        self,
+        ctx: "UserContext",
+        image: BinaryImage,
+        plan: WalkPlan,
+        record: bool,
+    ) -> DyldStats:
+        """The cold walk: resolve, map and link every library, noting
+        each step in ``plan`` (and, when ``record``, what it read)."""
+        machine = ctx.machine
+        clock = machine.clock
+        process = ctx.process
+        space = process.address_space
+        vfs = ctx.kernel.vfs
+        stats = plan.stats
+        mark = clock.charged_ps
+        cache = self._resolve_cache(ctx, plan if record else None)
         cache_mapped = False
 
         loaded: Set[str] = set()
@@ -241,68 +346,92 @@ class Dyld:
         state = ctx.lib_state(LIBSYSTEM_STATE)
         atfork = state.setdefault("atfork", [])
         atexit = state.setdefault("atexit", [])
-        cache_images = 0
-        closure_entries: List = []
+        entries = plan.entries
 
-        while queue:
-            dep = queue.pop(0)
+        # Breadth first: the loop also visits what ``queue.extend`` adds.
+        for dep in queue:
             if dep in loaded:
                 continue
             loaded.add(dep)
+            region: Optional[str] = None
+            ps = size = 0
 
             if cache is not None and cache.contains(dep):
+                lib = cache.get(dep)
+                from_cache = True
                 if not cache_mapped:
                     # Map the entire prelinked cache once, as a shared
                     # submap fork will not copy.
                     machine.charge("dyld_shared_cache_map")
-                    process.address_space.map(
-                        SHARED_CACHE_VMA,
-                        cache.total_bytes,
-                        shared_cache=True,
-                    )
-                    stats.mapped_bytes += cache.total_bytes
+                    region, size = SHARED_CACHE_VMA, cache.total_bytes
+                    ps = clock.charged_ps - mark
+                    space.map(region, size, shared_cache=True)
+                    mark = clock.charged_ps
+                    plan.cache_total_bytes = size
+                    stats.mapped_bytes += size
                     cache_mapped = True
                     if not self._evictor_registered:
                         self._evictor_registered = True
                         ctx.kernel.pressure_evictors.append(
                             partial(evict_shared_cache, ctx.kernel)
                         )
-                lib = cache.get(dep)
                 # Prelinked: binding work is already done in the cache.
                 machine.charge("dyld_link_per_lib", 0.25)
                 stats.from_cache += 1
-                cache_images += 1
-                closure_entries.append((lib, True))
             else:
-                lib = self._walk_filesystem(ctx, dep)
+                node = self._walk_filesystem(ctx, dep)
+                lib = node.binary_image
+                from_cache = False
+                if record:
+                    plan.read_path(vfs, dep)
+                    plan.files.append((node, lib))
                 machine.charge("dyld_lib_map_per_mb", lib.vm_size_mb)
                 machine.charge("dyld_link_per_lib")
-                process.address_space.map(f"dylib:{lib.name}", lib.vm_size_bytes)
-                stats.mapped_bytes += lib.vm_size_bytes
+                region, size = f"dylib:{lib.name}", lib.vm_size_bytes
+                ps = clock.charged_ps - mark
+                space.map(region, size)
+                mark = clock.charged_ps
+                stats.mapped_bytes += size
                 stats.walked_filesystem += 1
                 # Every individually loaded image registers fork and exit
                 # callbacks.
                 atfork.append(f"atfork:{lib.name}")
                 atexit.append(f"atexit:{lib.name}")
-                closure_entries.append((lib, False))
 
+            entries.append((lib, from_cache, ps, region, size))
             stats.libraries_loaded += 1
             process.loaded_libraries[lib.name] = lib
             process.loaded_libraries[lib.install_name] = lib
             queue.extend(d for d in lib.deps if d not in loaded)
 
-        # Batched handler registration for the prelinked images.
-        for batch in range(0, cache_images, CACHE_HANDLER_BATCH):
-            atfork.append(f"atfork:cache-batch-{batch}")
-            atexit.append(f"atexit:cache-batch-{batch}")
-        if self.use_closures:
-            self._closures[image.name] = LaunchClosure(
-                image,
-                self.cache_generation,
-                closure_entries,
-                cache.total_bytes if cache is not None else 0,
-            )
+        plan.tail_ps = clock.charged_ps - mark
+        _register_cache_batches(atfork, atexit, stats.from_cache)
         return stats
+
+    def _replay_plan(self, ctx: "UserContext", plan: WalkPlan) -> DyldStats:
+        """Repeat a recorded walk: for each library, charge what the cold
+        walk charged before its map, then map, in the cold order — so the
+        clock reads the same at every map, and a map that fails leaves
+        the same state behind."""
+        process = ctx.process
+        charge_ps = ctx.machine.clock.charge_ps
+        map_region = process.address_space.map
+        loaded = process.loaded_libraries
+        state = ctx.lib_state(LIBSYSTEM_STATE)
+        atfork = state.setdefault("atfork", [])
+        atexit = state.setdefault("atexit", [])
+        for lib, from_cache, ps, region, size in plan.entries:
+            if region is not None:
+                charge_ps(ps)
+                map_region(region, size, shared_cache=from_cache)
+                if not from_cache:
+                    atfork.append(f"atfork:{lib.name}")
+                    atexit.append(f"atexit:{lib.name}")
+            loaded[lib.name] = lib
+            loaded[lib.install_name] = lib
+        charge_ps(plan.tail_ps)
+        _register_cache_batches(atfork, atexit, plan.stats.from_cache)
+        return plan.stats
 
     def _replay_closure(
         self, ctx: "UserContext", closure: LaunchClosure
@@ -320,25 +449,24 @@ class Dyld:
         atfork = state.setdefault("atfork", [])
         atexit = state.setdefault("atexit", [])
         cache_mapped = False
-        cache_images = 0
-        for lib, from_cache in closure.entries:
+        cache_total_bytes = closure.plan.cache_total_bytes
+        for lib, from_cache, _ps, _region, _size in closure.plan.entries:
             if from_cache:
                 if not cache_mapped:
                     # The cache submap must still be mapped per process.
                     machine.charge("dyld_shared_cache_map")
                     process.address_space.map(
                         SHARED_CACHE_VMA,
-                        closure.cache_total_bytes,
+                        cache_total_bytes,
                         shared_cache=True,
                     )
-                    stats.mapped_bytes += closure.cache_total_bytes
+                    stats.mapped_bytes += cache_total_bytes
                     cache_mapped = True
                 # No per-lib link charge: the closure *is* the
                 # prevalidated bind state for prelinked images — the
                 # single ``dyld_closure_hit`` validation covered it.
                 stats.from_cache += 1
                 stats.from_closure += 1
-                cache_images += 1
             else:
                 machine.charge("dyld_lib_map_per_mb", lib.vm_size_mb)
                 machine.charge("dyld_closure_lib_replay")
@@ -350,12 +478,10 @@ class Dyld:
             stats.libraries_loaded += 1
             process.loaded_libraries[lib.name] = lib
             process.loaded_libraries[lib.install_name] = lib
-        for batch in range(0, cache_images, CACHE_HANDLER_BATCH):
-            atfork.append(f"atfork:cache-batch-{batch}")
-            atexit.append(f"atexit:cache-batch-{batch}")
+        _register_cache_batches(atfork, atexit, stats.from_cache)
         return stats
 
-    def _walk_filesystem(self, ctx: "UserContext", install_name: str) -> BinaryImage:
+    def _walk_filesystem(self, ctx: "UserContext", install_name: str) -> RegularFile:
         """Locate one dylib by path — the non-prelinked slow path."""
         machine = ctx.machine
         obs = machine.obs
@@ -369,7 +495,7 @@ class Dyld:
 
     def _walk_filesystem_body(
         self, ctx: "UserContext", install_name: str
-    ) -> BinaryImage:
+    ) -> RegularFile:
         machine = ctx.machine
         machine.charge("dyld_lib_open")
         if machine.faults is not None:
@@ -385,4 +511,11 @@ class Dyld:
             raise SyscallError(ENOENT, f"dyld: library not loaded: {install_name}")
         if not isinstance(node, RegularFile) or node.binary_image is None:
             raise SyscallError(ENOENT, f"dyld: not a dylib: {install_name}")
-        return node.binary_image
+        return node
+
+
+def _register_cache_batches(atfork: List[str], atexit: List[str], count: int) -> None:
+    """Batched handler registration for ``count`` prelinked images."""
+    for batch in range(0, count, CACHE_HANDLER_BATCH):
+        atfork.append(f"atfork:cache-batch-{batch}")
+        atexit.append(f"atexit:cache-batch-{batch}")

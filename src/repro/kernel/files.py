@@ -233,17 +233,24 @@ class FDTable:
     def __init__(self) -> None:
         self._fds: Dict[int, OpenFile] = {}
         self.nofile_limit = self.MAX_FDS
+        #: Every fd below this is in use, so the lowest free fd is found
+        #: by scanning up from here rather than from 0.
+        self._low = 0
 
     def install(self, open_file: OpenFile) -> int:
-        if len(self._fds) >= self.nofile_limit:
+        fds = self._fds
+        if len(fds) >= self.nofile_limit:
             raise SyscallError(
                 EMFILE, f"too many open files (RLIMIT_NOFILE={self.nofile_limit})"
             )
-        for fd in range(self.MAX_FDS):
-            if fd not in self._fds:
-                self._fds[fd] = open_file
-                return fd
-        raise SyscallError(EMFILE, "fd table full")
+        fd = self._low
+        while fd in fds:
+            fd += 1
+        if fd >= self.MAX_FDS:
+            raise SyscallError(EMFILE, "fd table full")
+        fds[fd] = open_file
+        self._low = fd + 1
+        return fd
 
     def get(self, fd: int) -> OpenFile:
         try:
@@ -254,6 +261,8 @@ class FDTable:
     def close(self, fd: int) -> None:
         open_file = self.get(fd)
         del self._fds[fd]
+        if fd < self._low:
+            self._low = fd
         open_file.decref()
 
     def dup(self, fd: int) -> int:
@@ -272,6 +281,7 @@ class FDTable:
         child = FDTable()
         child._fds = {fd: f.incref() for fd, f in self._fds.items()}
         child.nofile_limit = self.nofile_limit
+        child._low = self._low
         return child
 
     def close_all(self) -> None:

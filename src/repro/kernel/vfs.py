@@ -59,11 +59,16 @@ class Inode:
 class Directory(Inode):
     kind = "dir"
 
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "generation")
 
     def __init__(self) -> None:
         super().__init__()
         self.entries: Dict[str, Inode] = {}
+        #: Bumped by every :meth:`link` and :meth:`unlink`, the only
+        #: ways the tree changes: a lookup through this directory can
+        #: resolve differently only after the generation moved
+        #: (``repro.ios.dyld`` validates its walk plans with it).
+        self.generation = 0
 
     def lookup(self, name: str) -> Optional[Inode]:
         return self.entries.get(name)
@@ -72,12 +77,15 @@ class Directory(Inode):
         if name in self.entries:
             raise SyscallError(EEXIST, name)
         self.entries[name] = inode
+        self.generation += 1
 
     def unlink(self, name: str) -> Inode:
         try:
-            return self.entries.pop(name)
+            inode = self.entries.pop(name)
         except KeyError:
             raise SyscallError(ENOENT, name) from None
+        self.generation += 1
+        return inode
 
     def names(self) -> List[str]:
         return sorted(self.entries)
@@ -285,6 +293,20 @@ class VFS:
         if cache_key is not None:
             self._dcache[cache_key] = node
         return node
+
+    def dirs_read(self, path: str) -> List[Directory]:
+        """The directories an absolute lookup of ``path`` reads, root
+        first, up to the one holding (or missing) its last component.
+        Charges nothing."""
+        directory = self.root
+        dirs = [directory]
+        for part in self.split(path)[:-1]:
+            child = directory.entries.get(part)
+            if not isinstance(child, Directory):
+                break
+            directory = child
+            dirs.append(directory)
+        return dirs
 
     def _check_lookup_fault(self, path: str) -> None:
         if self._machine.faults is None:

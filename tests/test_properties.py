@@ -1,6 +1,8 @@
 """Property-based tests (hypothesis) on core data structures and
 invariants."""
 
+from itertools import count
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,6 +10,7 @@ from repro.android.dalvik import DalvikVM, _wrap32, assemble
 from repro.compat.signals import SignalTranslator
 from repro.hw.display import PixelBuffer
 from repro.hw.profiles import nexus7
+from repro.kernel.files import FDTable, OpenFile
 from repro.kernel.mm import PAGE_SIZE, AddressSpace
 from repro.kernel.vfs import VFS
 from repro.sim import PSEC_PER_NSEC, CostModel, VirtualClock
@@ -118,6 +121,62 @@ def test_address_space_page_accounting(mappings):
     assert space.total_pages == expected_pages
     child = space.fork_copy()
     assert child.total_pages == expected_pages
+
+
+# -- descriptor tables ------------------------------------------------------------------------
+
+_table = st.integers(min_value=0, max_value=3)
+_pick = st.integers(min_value=0, max_value=63)
+_fd_program = st.lists(
+    st.one_of(
+        st.tuples(st.just("open"), _table),
+        st.tuples(st.just("close"), _table, _pick),
+        st.tuples(st.just("dup"), _table, _pick),
+        st.tuples(
+            st.just("dup2"), _table, _pick, st.integers(min_value=0, max_value=40)
+        ),
+        st.tuples(st.just("fork"), _table),
+    ),
+    max_size=120,
+)
+
+
+def _lowest_free(model):
+    return next(fd for fd in count() if fd not in model)
+
+
+@given(_fd_program)
+def test_fd_allocation_matches_scan_from_zero(program):
+    """open/close/dup/dup2/fork programs get the fd numbers a reference
+    table that scans from 0 on every allocation hands out."""
+    tables = [FDTable()]
+    models = [{}]
+    for op, which, *args in program:
+        table = tables[which % len(tables)]
+        model = models[which % len(tables)]
+        if op == "fork":
+            tables.append(table.fork_copy())
+            models.append(dict(model))
+        elif op == "open":
+            expected = _lowest_free(model)
+            model[expected] = OpenFile(None)
+            assert table.install(model[expected]) == expected
+        elif model:
+            fd = sorted(model)[args[0] % len(model)]
+            if op == "close":
+                table.close(fd)
+                del model[fd]
+            elif op == "dup":
+                expected = _lowest_free(model)
+                assert table.dup(fd) == expected
+                model[expected] = model[fd]
+            else:
+                newfd = args[1]
+                assert table.dup2(fd, newfd) == newfd
+                model[newfd] = model[fd]
+    for table, model in zip(tables, models):
+        assert table.open_fds() == sorted(model)
+        assert all(table.get(fd) is model[fd] for fd in model)
 
 
 # -- Mach IPC name spaces -------------------------------------------------------------------
