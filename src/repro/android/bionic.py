@@ -27,6 +27,7 @@ class Bionic:
 
     def __init__(self, ctx: UserContext) -> None:
         self._ctx = ctx
+        self._kernel = ctx.kernel
         self._thread = ctx.thread
 
     # -- trap plumbing -----------------------------------------------------------
@@ -38,7 +39,9 @@ class Bionic:
         return state
 
     def _trap(self, number: int, *args: object) -> object:
-        result = self._thread.trap(number, *args)
+        # Kernel.trap is looked up per call, never cached, so a
+        # wrapper set on the class sees every trap.
+        result = self._kernel.trap(self._thread, number, args)
         if isinstance(result, int) and result < 0:
             self._thread.errno = -result
             return -1

@@ -27,6 +27,7 @@ class IOSLibc:
 
     def __init__(self, ctx: UserContext) -> None:
         self._ctx = ctx
+        self._kernel = ctx.kernel
         self._thread = ctx.thread
 
     # -- trap plumbing ------------------------------------------------------------
@@ -40,15 +41,19 @@ class IOSLibc:
 
     def _bsd(self, number: int, *args: object) -> object:
         """BSD syscall: decode the carry-flag error convention."""
-        value, carry = self._thread.trap(number, *args)
+        # Kernel.trap is looked up per call, never cached, so a
+        # wrapper set on the class sees every trap.
+        value, carry = self._kernel.trap(self._thread, number, args)
         if carry:
             self._thread.errno = value if isinstance(value, int) else 0
             return -1
         return value
 
     def _mach(self, number: int, *args: object) -> object:
-        """Mach trap: kern_return codes pass through undecoded."""
-        value, _carry = self._thread.trap(number, *args)
+        """Mach, machdep, diag or I/O Kit trap: the value (a kern_return
+        code, for Mach) passes through undecoded; the carry flag is
+        dropped."""
+        value, _carry = self._kernel.trap(self._thread, number, args)
         return value
 
     @property
@@ -476,48 +481,37 @@ class IOSLibc:
         return self._bsd(xnu.MACHDEP_set_cthread_self, value)
 
     def get_cthread_self(self) -> object:
-        value, _carry = self._thread.trap(xnu.MACHDEP_get_cthread_self)
-        return value
+        return self._mach(xnu.MACHDEP_get_cthread_self)
 
     # -- I/O Kit user API ------------------------------------------------------------------------------
 
     def io_service_get_matching_service(self, matching: dict) -> int:
-        value, _ = self._thread.trap(
+        return self._mach(
             xnu.TRAP_iokit_user_client, "get_matching_service", matching
         )
-        return value
 
     def io_registry_entry_get_property(self, service_id: int, key: str):
-        value, _ = self._thread.trap(
+        return self._mach(
             xnu.TRAP_iokit_user_client, "get_property", service_id, key
         )
-        return value
 
     def io_service_open(self, service_id: int) -> Tuple[int, int]:
-        value, _ = self._thread.trap(
-            xnu.TRAP_iokit_user_client, "open", service_id
-        )
-        return value
+        return self._mach(xnu.TRAP_iokit_user_client, "open", service_id)
 
     def io_connect_call_method(
         self, connect_id: int, selector: int, *args: object
     ) -> Tuple[int, object]:
-        value, _ = self._thread.trap(
+        return self._mach(
             xnu.TRAP_iokit_user_client, "call_method", connect_id, selector, args
         )
-        return value
 
     def io_service_close(self, connect_id: int) -> int:
-        value, _ = self._thread.trap(
-            xnu.TRAP_iokit_user_client, "close", connect_id
-        )
-        return value
+        return self._mach(xnu.TRAP_iokit_user_client, "close", connect_id)
 
     # -- diagnostics ------------------------------------------------------------------------------------
 
     def kdebug_trace(self, *args: object) -> int:
-        value, _ = self._thread.trap(xnu.DIAG_kdebug_trace, *args)
-        return value
+        return self._mach(xnu.DIAG_kdebug_trace, *args)
 
     # -- Cider-specific ------------------------------------------------------------------------------------
 

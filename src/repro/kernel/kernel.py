@@ -154,7 +154,7 @@ class Kernel:
         parts = name.split("/")
         if len(parts) > 1:
             self.vfs.makedirs("/dev/" + "/".join(parts[:-1]))
-        node = self.vfs.add_device(f"/dev/{name}", driver)
+        self.vfs.add_device(f"/dev/{name}", driver)
         device = self.devices.device_add(name, driver, dev_class)
         return device
 
@@ -213,81 +213,93 @@ class Kernel:
         VFS lookups, Mach IPC and dyld open child spans; the span is
         closed in a ``finally`` so aborted syscalls (injected faults,
         process death, kernel oopses) can never leak it open.
-        """
-        obs = self.machine.obs
-        if obs is None:
-            return self._trap_body(thread, trapno, args)
-        span = obs.enter_span(
-            "kernel.trap", thread.persona.abi.name, {"nr": trapno}
-        )
-        try:
-            return self._trap_body(thread, trapno, args)
-        finally:
-            obs.exit_span(span)
 
-    def _trap_body(self, thread: KThread, trapno: int, args: tuple) -> object:
+        The C-library facades call this method directly and the whole
+        trap runs in this one frame: with no observatory, no fault plan
+        and nothing pending, the path pays ``is None`` tests and the
+        charges, and calls nothing that does no work.
+        """
         machine = self.machine
-        if machine.crashed:
-            # The machine is down: there is no kernel to trap into.  Every
-            # still-running simulated thread unwinds here; recovery is
-            # System.reboot().
-            raise MachinePanic(machine.panic_reason or "machine has crashed")
-        clock = machine.clock
-        # Entry (+ the extra persona checking and handling code Cider runs
-        # on every entry) in one pre-summed, pre-rounded charge.
-        clock.charge_ps(
-            self._entry_cider_ps if self.cider_enabled else self._entry_plain_ps
-        )
-        persona = thread.persona
-        abi = persona.abi
-        trace = machine.trace
-        if trace.enabled:
-            trace.emit(clock.now_ns, "syscall", abi.name, nr=trapno)
-        else:
-            # Counter-only bump with the persona's cached key tuple: the
-            # disabled fast path allocates nothing.
-            trace.bump(persona._trace_key)
-        if machine.faults is not None:
-            outcome = machine.faults.check(
-                "syscall.enter", nr=trapno, abi=abi.name, pid=thread.process.pid
+        obs = machine.obs
+        span = None
+        if obs is not None:
+            span = obs.enter_span(
+                "kernel.trap", thread.persona.abi.name, {"nr": trapno}
             )
-            injected = self.apply_fault_errno(thread.process, outcome)
-            if injected is not None:
-                result = abi.failure(injected)
-                clock.charge_ps(self._exit_ps)
-                self.deliver_pending_signals(thread)
-                self._check_dying(thread)
-                return result
         try:
-            flat = persona._flat
-            if flat is None:
-                flat = self._prime_persona(persona)
-            handler = flat.get(trapno)
-            if handler is not None:
-                dispatch_ps = persona._dispatch_ps
-                if dispatch_ps:
-                    clock.charge_ps(dispatch_ps)
-                value = handler(self, thread, *args)
-            else:
-                # Unknown number or bespoke ABI: the ABI's own dispatch
-                # charges its cost and raises the table-specific ENOSYS.
-                value = abi.dispatch(self, thread, trapno, args)
-            result = abi.success(value)
-        except SyscallError as error:
-            result = abi.failure(error.errno)
-        except Exception as error:  # noqa: BLE001 -- oops containment
-            result = self._trap_oops(thread, abi, trapno, error)
-        if machine.faults is not None:
-            outcome = machine.faults.check(
-                "syscall.exit", nr=trapno, abi=abi.name, pid=thread.process.pid
+            if machine.crashed:
+                # The machine is down: there is no kernel to trap into.
+                # Every still-running simulated thread unwinds here;
+                # recovery is System.reboot().
+                raise MachinePanic(machine.panic_reason or "machine has crashed")
+            clock = machine.clock
+            # Entry (+ the extra persona checking and handling code Cider
+            # runs on every entry) in one pre-summed, pre-rounded charge.
+            clock.charge_ps(
+                self._entry_cider_ps if self.cider_enabled else self._entry_plain_ps
             )
-            injected = self.apply_fault_errno(thread.process, outcome)
+            persona = thread.persona
+            abi = persona.abi
+            process = thread.process
+            trace = machine.trace
+            if trace.enabled:
+                trace.emit(clock.now_ns, "syscall", abi.name, nr=trapno)
+            else:
+                # Counter-only bump with the persona's cached key tuple:
+                # the disabled fast path allocates nothing.
+                trace.bump(persona._trace_key)
+            injected = None
+            if machine.faults is not None:
+                injected = self.apply_fault_errno(
+                    process,
+                    machine.faults.check(
+                        "syscall.enter", nr=trapno, abi=abi.name, pid=process.pid
+                    ),
+                )
             if injected is not None:
+                # Faulted at entry: no dispatch and no syscall.exit check.
                 result = abi.failure(injected)
-        clock.charge_ps(self._exit_ps)
-        self.deliver_pending_signals(thread)
-        self._check_dying(thread)
-        return result
+            else:
+                try:
+                    flat = persona._flat
+                    if flat is None:
+                        flat = self._prime_persona(persona)
+                    handler = flat.get(trapno)
+                    if handler is not None:
+                        dispatch_ps = persona._dispatch_ps
+                        if dispatch_ps:
+                            clock.charge_ps(dispatch_ps)
+                        value = handler(self, thread, *args)
+                    else:
+                        # Unknown number or bespoke ABI: the ABI's own
+                        # dispatch charges its cost and raises the
+                        # table-specific ENOSYS.
+                        value = abi.dispatch(self, thread, trapno, args)
+                    result = abi.success(value)
+                except SyscallError as error:
+                    result = abi.failure(error.errno)
+                except Exception as error:  # noqa: BLE001 -- oops containment
+                    result = self._trap_oops(thread, abi, trapno, error)
+                if machine.faults is not None:
+                    injected = self.apply_fault_errno(
+                        process,
+                        machine.faults.check(
+                            "syscall.exit", nr=trapno, abi=abi.name, pid=process.pid
+                        ),
+                    )
+                    if injected is not None:
+                        result = abi.failure(injected)
+            clock.charge_ps(self._exit_ps)
+            # Exit work only when there is some: a queued signal, or a
+            # process that is dying or no longer running (Process.alive).
+            if thread.pending.queue:
+                self.deliver_pending_signals(thread)
+            if process.dying is not None or process.state != "running":
+                self._check_dying(thread)
+            return result
+        finally:
+            if span is not None:
+                obs.exit_span(span)
 
     def apply_fault_errno(
         self, process: Process, outcome: Optional[FaultOutcome]
@@ -648,8 +660,6 @@ class Kernel:
         if image is None:
             raise SyscallError(ENOSYS, "not a binary")
         handler = self.loaders.find(image)
-        for seg_handler in ():  # placeholder for future LSM-style hooks
-            pass
         return handler.load(self, process, thread, image, argv)
 
     # -- convenience -------------------------------------------------------------------

@@ -247,52 +247,50 @@ class VFS:
         A ``kernel.vfs.lookup`` profiling span when observability is on —
         which is how dyld's 115-library filesystem walk shows up as VFS
         time nested under ``ios.dyld.walk`` in the flame table."""
-        obs = self._machine.obs
-        if obs is None:
-            return self._resolve_body(path, cwd)
-        span = obs.enter_span("kernel.vfs.lookup", path, None)
-        try:
-            return self._resolve_body(path, cwd)
-        finally:
-            obs.exit_span(span)
-
-    def _resolve_body(self, path: str, cwd: Optional[Directory]) -> Inode:
         machine = self._machine
-        parts = self._split_cache.get(path)
-        if parts is None:
-            parts = tuple(
-                part for part in path.split("/") if part and part != "."
-            )
-            if len(self._split_cache) >= 4096:
-                self._split_cache.clear()
-            self._split_cache[path] = parts
-        absolute = path.startswith("/") or cwd is None
-        cache_key: Optional[str] = None
-        if self.dcache_enabled and absolute:
-            cache_key = "/" + "/".join(parts)
-            node = self._dcache.get(cache_key)
-            if node is not None:
-                # Warm path: one hash probe replaces the component walk.
-                self.dcache_hits += 1
-                machine.clock.charge_ps(self._dcache_hit_ps)
-                if machine.faults is not None:
-                    self._check_lookup_fault(path)
-                return node
-            self.dcache_misses += 1
-        self._charge_lookup(len(parts))
-        if machine.faults is not None:
-            self._check_lookup_fault(path)
-        node: Inode = self.root if absolute else cwd
-        for part in parts:
-            if not isinstance(node, Directory):
-                raise SyscallError(ENOTDIR, path)
-            child = node.entries.get(part)
-            if child is None:
-                raise SyscallError(ENOENT, path)
-            node = child
-        if cache_key is not None:
-            self._dcache[cache_key] = node
-        return node
+        obs = machine.obs
+        span = None
+        if obs is not None:
+            span = obs.enter_span("kernel.vfs.lookup", path, None)
+        try:
+            parts = self._split_cache.get(path)
+            if parts is None:
+                parts = tuple(
+                    part for part in path.split("/") if part and part != "."
+                )
+                if len(self._split_cache) >= 4096:
+                    self._split_cache.clear()
+                self._split_cache[path] = parts
+            absolute = path.startswith("/") or cwd is None
+            cache_key: Optional[str] = None
+            if self.dcache_enabled and absolute:
+                cache_key = "/" + "/".join(parts)
+                node = self._dcache.get(cache_key)
+                if node is not None:
+                    # Warm path: one hash probe replaces the component walk.
+                    self.dcache_hits += 1
+                    machine.clock.charge_ps(self._dcache_hit_ps)
+                    if machine.faults is not None:
+                        self._check_lookup_fault(path)
+                    return node
+                self.dcache_misses += 1
+            self._charge_lookup(len(parts))
+            if machine.faults is not None:
+                self._check_lookup_fault(path)
+            node: Inode = self.root if absolute else cwd
+            for part in parts:
+                if not isinstance(node, Directory):
+                    raise SyscallError(ENOTDIR, path)
+                child = node.entries.get(part)
+                if child is None:
+                    raise SyscallError(ENOENT, path)
+                node = child
+            if cache_key is not None:
+                self._dcache[cache_key] = node
+            return node
+        finally:
+            if span is not None:
+                obs.exit_span(span)
 
     def dirs_read(self, path: str) -> List[Directory]:
         """The directories an absolute lookup of ``path`` reads, root
