@@ -9,7 +9,9 @@
 #   crash      the power-loss demo and every crashsweep site
 #   partsweep  the full partition sweep
 #   schedsweep the full schedule sweep
-#   fault      the seeded chaos demo; a different chaos seed must differ
+#   fault      the seeded chaos demo; a different chaos seed must differ,
+#              and seed 2014 must inject at syscall.enter and have a
+#              client exit 0
 #   pressure   the memory-pressure demo: stdout, kill log, summary JSON
 #   golden     Figure-5 virtual time against the committed golden file
 #   trace      the two-machine netbench trace and its drift report,
@@ -63,6 +65,12 @@ case "${1:-}" in
   schedsweep) sweep schedsweep ;;
   fault)
     same fault python "$root/examples/fault_injection.py" 2014
+    # Chaos must stay recoverable: clients get past dyld into main.
+    if ! grep -q ' syscall\.enter ' fault-a/stdout.txt ||
+      ! grep -qE 'exit=0( |$)' fault-a/stdout.txt; then
+      echo "seed 2014: no syscall.enter injection or no client exited 0" >&2
+      exit 1
+    fi
     PYTHONHASHSEED=0 python examples/fault_injection.py 4102 > fault-4102.txt
     if diff -q fault-a/stdout.txt fault-4102.txt; then
       echo "different seeds produced identical runs" >&2
