@@ -175,7 +175,10 @@ class KThread:
     # -- kernel entry ------------------------------------------------------------
 
     def trap(self, trapno: int, *args: object) -> object:
-        """Trap into the kernel under the current persona's ABI."""
+        """Trap into the kernel under the current persona's ABI.
+
+        The entry for diplomats and tests; the C libraries call
+        :meth:`Kernel.trap` directly."""
         return self.process.kernel.trap(self, trapno, args)
 
     def __repr__(self) -> str:
