@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.android.dalvik import DalvikVM, _wrap32, assemble
 from repro.compat.signals import SignalTranslator
-from repro.hw.display import PixelBuffer
+from repro.hw.display import CELL_H_PX, CELL_W_PX, PixelBuffer
 from repro.hw.profiles import nexus7
 from repro.kernel.files import FDTable, OpenFile
 from repro.kernel.mm import PAGE_SIZE, AddressSpace
@@ -226,6 +226,148 @@ def test_pixelbuffer_snapshot_equality(width, height):
     buffer = PixelBuffer(width, height)
     buffer.draw_text(0, 0, "xyz")
     assert buffer.snapshot().to_text() == buffer.to_text()
+
+
+class _PerCellBuffer:
+    """The reference model: the per-cell drawing loops ``PixelBuffer``
+    used before it drew by row slices, kept verbatim."""
+
+    def __init__(self, width_px, height_px):
+        self.cols = max(1, width_px // CELL_W_PX)
+        self.rows = max(1, height_px // CELL_H_PX)
+        self._grid = [[" "] * self.cols for _ in range(self.rows)]
+
+    def _cell(self, x_px, y_px):
+        col = min(self.cols - 1, max(0, int(x_px // CELL_W_PX)))
+        row = min(self.rows - 1, max(0, int(y_px // CELL_H_PX)))
+        return col, row
+
+    def clear(self, ch=" "):
+        for row in self._grid:
+            for col in range(self.cols):
+                row[col] = ch
+
+    def fill_rect(self, x, y, w, h, ch):
+        c0, r0 = self._cell(x, y)
+        c1, r1 = self._cell(x + max(0.0, w - 1), y + max(0.0, h - 1))
+        for row in range(r0, r1 + 1):
+            for col in range(c0, c1 + 1):
+                self._grid[row][col] = ch
+
+    def draw_text(self, x, y, text):
+        col, row = self._cell(x, y)
+        for offset, ch in enumerate(text):
+            if col + offset >= self.cols:
+                break
+            self._grid[row][col + offset] = ch
+
+    def blit(self, src, x, y):
+        c0, r0 = self._cell(x, y)
+        for src_row in range(src.rows):
+            dst_row = r0 + src_row
+            if dst_row >= self.rows:
+                break
+            for src_col in range(src.cols):
+                dst_col = c0 + src_col
+                if dst_col >= self.cols:
+                    break
+                ch = src._grid[src_row][src_col]
+                if ch != " ":
+                    self._grid[dst_row][dst_col] = ch
+
+    def to_text(self):
+        border = "+" + "-" * self.cols + "+"
+        body = "\n".join("|" + "".join(row) + "|" for row in self._grid)
+        return f"{border}\n{body}\n{border}"
+
+
+#: Cell strings.  Only ``" "`` is transparent; ``""`` and ``"ab"`` are
+#: copied as is, like any other string.
+_CELLS = (" ", "#", "X", "", "ab")
+_INK = _CELLS[1:]
+#: From under one cell to past the 64x20-cell display, in pixels that
+#: need not be cell multiples.
+_WIDTH_PX = st.integers(min_value=1, max_value=72 * CELL_W_PX)
+_HEIGHT_PX = st.integers(min_value=1, max_value=23 * CELL_H_PX)
+
+
+def _span(extent_px, cell_px):
+    """A coordinate or a length, from three cells below 0 to three cells
+    past ``extent_px``, as an int or a float."""
+    lo, hi = -3 * cell_px, extent_px + 3 * cell_px
+    return st.one_of(
+        st.integers(min_value=lo, max_value=hi),
+        st.floats(min_value=lo, max_value=hi, allow_nan=False),
+    )
+
+
+@st.composite
+def _row(draw, kind, cols):
+    """One source row: all blank, with no blank cell, or mixed."""
+    if kind == "blank":
+        return [" "] * cols
+    alphabet = _INK if kind == "opaque" else _CELLS
+    pattern = draw(st.lists(st.sampled_from(alphabet), min_size=1, max_size=6))
+    row = [pattern[col % len(pattern)] for col in range(cols)]
+    if kind == "mixed":
+        blank_at = draw(st.integers(min_value=0, max_value=cols - 1))
+        ink_at = (blank_at + draw(st.integers(min_value=1, max_value=cols - 1))) % cols
+        row[blank_at] = " "
+        row[ink_at] = draw(st.sampled_from(_INK))
+    return row
+
+
+@st.composite
+def _blit_source(draw):
+    """A buffer of its own size whose rows are blank, opaque or mixed."""
+    src = PixelBuffer(draw(_WIDTH_PX), draw(_HEIGHT_PX))
+    kinds = ("blank", "opaque", "mixed") if src.cols > 1 else ("blank", "opaque")
+    src._grid = [
+        draw(_row(draw(st.sampled_from(kinds)), src.cols)) for _ in range(src.rows)
+    ]
+    return src
+
+
+@st.composite
+def _pixel_program(draw):
+    """A buffer size and the drawing operations to run on it."""
+    width_px, height_px = draw(_WIDTH_PX), draw(_HEIGHT_PX)
+    x, y = _span(width_px, CELL_W_PX), _span(height_px, CELL_H_PX)
+    cell = st.sampled_from(_CELLS)
+    text = st.one_of(
+        st.text(alphabet=" #Xab", max_size=8),
+        st.text(alphabet=" #Xab", min_size=73, max_size=80),
+    )
+    op = st.one_of(
+        st.tuples(st.just("clear"), cell),
+        st.tuples(st.just("fill_rect"), x, y, x, y, cell),
+        st.tuples(st.just("draw_text"), x, y, text),
+        st.tuples(st.just("blit"), _blit_source(), x, y),
+        st.tuples(st.just("snapshot")),
+    )
+    return width_px, height_px, draw(st.lists(op, min_size=1, max_size=12))
+
+
+@settings(max_examples=75, deadline=None)
+@given(_pixel_program())
+def test_pixelbuffer_matches_per_cell_reference(program):
+    """Row-slice drawing leaves exactly the grid the per-cell loops leave,
+    after every operation; a snapshot shares no row with its original."""
+    width_px, height_px, ops = program
+    buffer = PixelBuffer(width_px, height_px)
+    model = _PerCellBuffer(width_px, height_px)
+    snapshotted = []
+    for name, *args in ops:
+        if name == "snapshot":
+            snapshotted.append((buffer, [list(row) for row in model._grid]))
+            buffer = buffer.snapshot()
+        else:
+            getattr(buffer, name)(*args)
+            getattr(model, name)(*args)
+        assert buffer._grid == model._grid
+        assert buffer.to_text() == model.to_text()
+    for original, grid in snapshotted:
+        assert original._grid == grid
 
 
 # -- Dalvik 32-bit arithmetic ----------------------------------------------------------------------
