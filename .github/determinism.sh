@@ -13,7 +13,8 @@
 #              and seed 2014 must inject at syscall.enter and have a
 #              client exit 0
 #   pressure   the memory-pressure demo: stdout, kill log, summary JSON
-#   golden     Figure-5 virtual time against the committed golden file
+#   golden     Figure-5 virtual time against the committed golden file,
+#              and the Figure-4 home-screen demo's screenshots
 #   trace      the two-machine netbench trace and its drift report,
 #              diffed against benchmarks/netbench_world_diff.txt
 #   telemetry  the profiled two-persona demo: stdout, summary, Chrome trace
@@ -81,7 +82,10 @@ case "${1:-}" in
     same pressure python "$root/examples/memory_pressure.py" 2014 \
       summary.json kills.txt
     ;;
-  golden) same golden python -m repro.workloads.golden --verify ;;
+  golden)
+    same golden python -m repro.workloads.golden --verify
+    same figure4 python "$root/examples/home_screen.py"
+    ;;
   trace)
     same world python -m repro.workloads.netbench --world \
       --trace-out world.json
