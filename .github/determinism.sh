@@ -12,7 +12,9 @@
 #   fault      the seeded chaos demo; a different chaos seed must differ,
 #              and seed 2014 must inject at syscall.enter and have a
 #              client exit 0
-#   pressure   the memory-pressure demo: stdout, kill log, summary JSON
+#   pressure   the memory-pressure demo: stdout, kill log, summary JSON;
+#              and the warm-start demo, the only example whose forks are
+#              copy-on-write (cow_fork=True)
 #   golden     Figure-5 virtual time against the committed golden file,
 #              and the Figure-4 home-screen demo's screenshots
 #   trace      the two-machine netbench trace and its drift report,
@@ -81,6 +83,7 @@ case "${1:-}" in
   pressure)
     same pressure python "$root/examples/memory_pressure.py" 2014 \
       summary.json kills.txt
+    same warm python "$root/examples/warm_start.py"
     ;;
   golden)
     same golden python -m repro.workloads.golden --verify

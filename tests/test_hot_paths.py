@@ -26,7 +26,7 @@ from repro.sim.clock import VirtualClock, ns_to_ps
 from repro.sim.costs import UnknownCostError
 from repro.sim.errors import ClockError
 
-from .helpers import run_elf
+from .helpers import run_elf, run_macho
 
 MB = 1 << 20
 
@@ -342,6 +342,30 @@ class TestCowFork:
 
         eager, cow = fork_cost(False), fork_cost(True)
         assert cow < eager
+
+    def test_replayed_walk_keeps_cow_state_per_process(self):
+        """Two runs of one Mach-O share the dyld walk plan, the second
+        replaying it.  Each run COW-forks and then writes page 0 of its
+        own UIKit mapping: both writes break COW and charge one page, as
+        COW state belongs to each process, never to a mapping the plan
+        hands out."""
+        system = build_cider(cow_fork=True)
+        try:
+
+            def body(ctx):
+                ctx.libc.waitpid(ctx.libc.fork(lambda child_ctx: 0))
+                space = ctx.process.address_space
+                clock = ctx.machine.clock
+                before = clock.charged_ps
+                broke = space.touch(space.find("dylib:UIKit"), 0)
+                return broke, clock.charged_ps - before
+
+            first = run_macho(system, body)
+            second = run_macho(system, body)
+            page = system.machine.cost_ps("cow_break_per_page")
+            assert first == second == (True, page)
+        finally:
+            system.shutdown()
 
     def test_build_cider_cow_flag(self):
         system = build_cider(cow_fork=True)

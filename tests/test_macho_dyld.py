@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from functools import partial
 
 import pytest
 
@@ -17,6 +18,7 @@ from repro.ios.frameworks import (
 )
 from repro.kernel import errno as E
 from repro.kernel.errno import SyscallError
+from repro.sim import ResourceEnvelope
 from repro.sim.snapshot import snapshot_systems
 
 from helpers import run_macho
@@ -223,6 +225,8 @@ def _probe_loads(system):
             return stats
         finally:
             inside.pop()
+            res = ctx.machine.resources
+            record["ram_used"] = None if res is None else res.ram_used
             process = ctx.process
             state = process.lib_state.get("libSystem", {})
             record["vmas"] = [
@@ -295,6 +299,10 @@ def _shared_cache_rebuilt(system):
     install_shared_cache(system.kernel)
 
 
+def _envelope_installed(ram_mb, system):
+    system.machine.install_resources(ResourceEnvelope(ram_mb=ram_mb))
+
+
 #: (build_cider kwargs, change, RLIMIT_AS of the exec, plan still valid)
 TWIN_CASES = {
     "none": ({}, _no_change, None, True),
@@ -307,14 +315,20 @@ TWIN_CASES = {
     "cache-evicted": ({"shared_cache": True}, _shared_cache_evicted, None, False),
     "cache-rebuilt": ({"shared_cache": True}, _shared_cache_rebuilt, None, False),
     "rlimit-as-enomem": ({}, _no_change, 40 * MB, True),
+    "ram-envelope": ({}, partial(_envelope_installed, 512), None, True),
+    "ram-envelope-enomem": ({}, partial(_envelope_installed, 40), None, True),
 }
+
+#: Cases whose exec runs out of memory partway through the libraries.
+ENOMEM_CASES = ("rlimit-as-enomem", "ram-envelope-enomem")
 
 
 @pytest.mark.parametrize("case", sorted(TWIN_CASES))
 def test_plan_replay_equals_cold_walk(case):
     """Two identical twins see the same change; one has its plans
     cleared.  The exec that follows must leave the same virtual time,
-    stats, mappings, libraries, handlers and errno on both."""
+    stats, mappings, libraries, handlers, errno and RAM reserved on both,
+    both when dyld returns and after the process is gone."""
     kwargs, change, as_limit, valid = TWIN_CASES[case]
     outcomes = []
     for clear in (False, True):
@@ -325,16 +339,28 @@ def test_plan_replay_equals_cold_walk(case):
                 system.ios.dyld.plans.clear()
             loads = _probe_loads(system)
             result = _exec_hello(system, as_limit)
-            outcomes.append((system.machine.clock.charged_ps, result, loads))
+            res = system.machine.resources
+            ram_used = None if res is None else res.ram_used
+            outcomes.append(
+                (system.machine.clock.charged_ps, ram_used, result, loads)
+            )
         finally:
             system.shutdown()
-    (replay_ps, replay_result, [replay]), (cold_ps, cold_result, [cold]) = outcomes
+    (replay_ps, replay_ram, replay_result, [replay]) = outcomes[0]
+    (cold_ps, cold_ram, cold_result, [cold]) = outcomes[1]
     assert bool(replay.pop("resolved")) is not valid
     assert cold.pop("resolved")
-    assert (replay_ps, replay_result, replay) == (cold_ps, cold_result, cold)
-    if case == "rlimit-as-enomem":
+    assert (replay_ps, replay_ram, replay_result, replay) == (
+        cold_ps,
+        cold_ram,
+        cold_result,
+        cold,
+    )
+    if case in ENOMEM_CASES:
         assert cold_result == ("errno", E.ENOMEM)
         assert 0 < len(cold["atfork"]) < TARGET_LIBRARY_COUNT
+    if case.startswith("ram-envelope"):
+        assert cold["ram_used"] > 0
 
 
 def test_booted_cider_execs_resolve_no_dylib():

@@ -2,18 +2,20 @@
 invariants."""
 
 from itertools import count
+from typing import Dict, Iterator, List, Optional
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.android.dalvik import DalvikVM, _wrap32, assemble
 from repro.compat.signals import SignalTranslator
 from repro.hw.display import CELL_H_PX, CELL_W_PX, PixelBuffer
 from repro.hw.profiles import nexus7
+from repro.kernel.errno import ENOMEM, SyscallError
 from repro.kernel.files import FDTable, OpenFile
 from repro.kernel.mm import PAGE_SIZE, AddressSpace
 from repro.kernel.vfs import VFS
-from repro.sim import PSEC_PER_NSEC, CostModel, VirtualClock
+from repro.sim import PSEC_PER_NSEC, CostModel, ResourceEnvelope, VirtualClock
 from repro.xnu.ipc import IPCSpace, RIGHT_RECEIVE, RIGHT_SEND
 
 
@@ -121,6 +123,536 @@ def test_address_space_page_accounting(mappings):
     assert space.total_pages == expected_pages
     child = space.fork_copy()
     assert child.total_pages == expected_pages
+
+
+# The parent commit's ``CowSource``, ``VMA`` and ``AddressSpace``, verbatim
+# but for their names: the reference model that ``AddressSpace`` must match
+# step for step.  Each reference space owns private VMA objects, so a
+# mapping's accounting can never leak between spaces here.
+
+
+class _RefCowSource:
+    """The shared physical pages behind a family of COW mappings.
+
+    Created when :meth:`_RefAddressSpace.fork_copy` runs in COW mode: the
+    parent's RAM reservation moves here and both parent and child VMAs
+    hold a reference — refcounted exactly like shared-cache segments, so
+    the underlying bytes are released only when the *last* mapping goes
+    (a parent exiting before its child must not free pages the child
+    still reads).
+    """
+
+    __slots__ = ("size_bytes", "refs", "charged")
+
+    def __init__(self, size_bytes: int, charged: bool) -> None:
+        self.size_bytes = size_bytes
+        self.refs = 0
+        #: True when ``size_bytes`` is held against the RAM budget.
+        self.charged = charged
+
+
+class _RefVMA:
+    """One mapped virtual memory region.
+
+    ``__slots__``: dyld creates ~115 of these per Mach-O exec and fork
+    duplicates all of them — the hottest allocation after trace events.
+    """
+
+    __slots__ = (
+        "name",
+        "size_bytes",
+        "writable",
+        "shared_cache",
+        "charged",
+        "shared_key",
+        "cow_source",
+        "cow_broken",
+        "cow_charged_bytes",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        size_bytes: int,
+        writable: bool = False,
+        shared_cache: bool = False,
+    ) -> None:
+        if size_bytes < 0:
+            raise ValueError("negative mapping size")
+        self.name = name
+        self.size_bytes = size_bytes
+        self.writable = writable
+        #: Backed by the dyld shared cache: lives in a kernel-shared
+        #: submap, so fork does not duplicate its page tables.
+        self.shared_cache = shared_cache
+        #: Resource-envelope bookkeeping: True when these bytes were
+        #: charged to the machine RAM budget; for shared-cache regions the
+        #: refcounted reservation key instead.
+        self.charged = False
+        self.shared_key: Optional[str] = None
+        #: COW: the shared page source this mapping references (None for
+        #: eagerly copied/private regions) and the page indices privately
+        #: re-copied after a write fault (each holds one page of RAM).
+        self.cow_source: Optional[_RefCowSource] = None
+        self.cow_broken: Optional[set] = None
+        #: Bytes charged to the RAM budget by COW breaks on this mapping
+        #: (one page per break); released with the mapping.
+        self.cow_charged_bytes = 0
+
+    @property
+    def pages(self) -> int:
+        return (self.size_bytes + PAGE_SIZE - 1) // PAGE_SIZE
+
+    @property
+    def cow_broken_bytes(self) -> int:
+        """Bytes privately held by COW-broken pages of this mapping."""
+        return len(self.cow_broken) * PAGE_SIZE if self.cow_broken else 0
+
+    def __repr__(self) -> str:
+        tag = " shared-cache" if self.shared_cache else ""
+        if self.cow_source is not None:
+            tag += f" cow({len(self.cow_broken or ())} broken)"
+        return f"<_RefVMA {self.name!r} {self.size_bytes >> 10}KB{tag}>"
+
+
+class _RefAddressSpace:
+    """The set of VMAs belonging to one process.
+
+    ``machine`` is optional (tests build bare address spaces); when
+    present, :meth:`map` is an ``mm.map`` / ``mm.reserve`` fault-injection
+    point so seeded plans can simulate transient allocation failure and
+    forced scarcity verdicts (ENOMEM), and the machine's resource
+    envelope — when installed — is charged for every mapping.
+    """
+
+    def __init__(self, machine: Optional["Machine"] = None) -> None:
+        self._vmas: List[_RefVMA] = []
+        self._machine = machine
+        #: RLIMIT_AS soft limit in bytes (None = unlimited); kept in sync
+        #: by the setrlimit trap.
+        self.as_limit_bytes: Optional[int] = None
+
+    def _envelope(self) -> Optional["ResourceEnvelope"]:
+        machine = self._machine
+        return machine.resources if machine is not None else None
+
+    def map(
+        self,
+        name: str,
+        size_bytes: int,
+        writable: bool = False,
+        shared_cache: bool = False,
+    ) -> _RefVMA:
+        machine = self._machine
+        if machine is not None and machine.faults is not None:
+            outcome = machine.faults.check(
+                "mm.map", region=name, size_bytes=size_bytes
+            )
+            if outcome is not None:
+                if outcome.kind == "delay":
+                    machine.charge_ns(float(outcome.value))  # type: ignore[arg-type]
+                elif outcome.kind == "errno":
+                    raise SyscallError(
+                        int(outcome.value),  # type: ignore[call-overload]
+                        f"fault injected: map {name!r}",
+                    )
+                else:
+                    raise SyscallError(
+                        ENOMEM, f"fault injected: map {name!r}"
+                    )
+            # Forced scarcity verdict: behaves exactly like an exhausted
+            # RAM budget, without needing a full envelope.
+            outcome = machine.faults.check(
+                "mm.reserve", region=name, size_bytes=size_bytes
+            )
+            if outcome is not None:
+                if outcome.kind == "delay":
+                    machine.charge_ns(float(outcome.value))  # type: ignore[arg-type]
+                elif outcome.kind == "errno":
+                    raise SyscallError(
+                        int(outcome.value),  # type: ignore[call-overload]
+                        f"fault injected: reserve {name!r}",
+                    )
+                else:
+                    raise SyscallError(
+                        ENOMEM, f"fault injected: reserve {name!r}"
+                    )
+        if (
+            self.as_limit_bytes is not None
+            and self.total_bytes + size_bytes > self.as_limit_bytes
+        ):
+            raise SyscallError(
+                ENOMEM, f"RLIMIT_AS: map {name!r} ({size_bytes} bytes)"
+            )
+        vma = _RefVMA(name, size_bytes, writable, shared_cache)
+        res = self._envelope()
+        if res is not None:
+            self._reserve(res, vma)
+        self._vmas.append(vma)
+        return vma
+
+    @staticmethod
+    def _reserve(res: "ResourceEnvelope", vma: _RefVMA) -> None:
+        """Charge one _RefVMA to the envelope, or raise ENOMEM."""
+        if vma.shared_cache:
+            if not res.reserve_shared(vma.name, vma.size_bytes):
+                raise SyscallError(
+                    ENOMEM, f"out of memory: map {vma.name!r}"
+                )
+            vma.shared_key = vma.name
+        else:
+            if not res.reserve_ram(vma.size_bytes, owner=vma.name):
+                raise SyscallError(
+                    ENOMEM, f"out of memory: map {vma.name!r}"
+                )
+            vma.charged = True
+
+    @staticmethod
+    def _release(res: "ResourceEnvelope", vma: _RefVMA) -> None:
+        if vma.shared_key is not None:
+            res.release_shared(vma.shared_key)
+            vma.shared_key = None
+        elif vma.charged:
+            res.release_ram(vma.size_bytes)
+            vma.charged = False
+        if vma.cow_charged_bytes:
+            res.release_ram(vma.cow_charged_bytes)
+            vma.cow_charged_bytes = 0
+
+    @staticmethod
+    def _drop_cow_ref(res: Optional["ResourceEnvelope"], vma: _RefVMA) -> None:
+        """Release this mapping's reference on its COW page source.
+
+        The source's reservation is freed only when the *last* referencing
+        mapping goes away — a parent exiting before its child must not free
+        pages the child still reads.
+        """
+        source = vma.cow_source
+        if source is None:
+            return
+        vma.cow_source = None
+        source.refs -= 1
+        if source.refs == 0 and source.charged:
+            if res is not None:
+                res.release_ram(source.size_bytes)
+            source.charged = False
+
+    def unmap(self, vma: _RefVMA) -> None:
+        self._vmas.remove(vma)
+        res = self._envelope()
+        if res is not None:
+            self._release(res, vma)
+        self._drop_cow_ref(res, vma)
+
+    def unmap_all(self) -> None:
+        """exec() tears down the old image."""
+        res = self._envelope()
+        for vma in self._vmas:
+            if res is not None:
+                self._release(res, vma)
+            self._drop_cow_ref(res, vma)
+        self._vmas.clear()
+
+    def find(self, name: str) -> Optional[_RefVMA]:
+        for vma in self._vmas:
+            if vma.name == name:
+                return vma
+        return None
+
+    @property
+    def total_bytes(self) -> int:
+        return sum(vma.size_bytes for vma in self._vmas)
+
+    @property
+    def total_pages(self) -> int:
+        return sum(vma.pages for vma in self._vmas)
+
+    @property
+    def copied_on_fork_pages(self) -> int:
+        """Pages whose PTEs fork must duplicate (shared cache excluded)."""
+        return sum(vma.pages for vma in self._vmas if not vma.shared_cache)
+
+    def fork_copy(self, cow: bool = False) -> "_RefAddressSpace":
+        """Duplicate the structure (the copy cost is charged by fork).
+
+        Eager mode (``cow=False``): with a resource envelope installed the
+        child's private regions charge the RAM budget (this is why 32 iOS
+        personas cost ~2.9 GB in the paper's accounting) and shared-cache
+        regions only bump the submap refcount; an exhausted budget makes
+        fork fail with ENOMEM, leaving the envelope balanced.
+
+        COW mode (``cow=True``): private regions are not duplicated — the
+        parent's reservation moves into a refcounted :class:`_RefCowSource`
+        that both sides reference, and the child charges *nothing* at fork
+        time.  Each side pays one page of RAM (and ``cow_break_per_page``
+        of time) per page it later writes, via :meth:`touch`.  Shared-cache
+        regions behave identically in both modes.
+        """
+        child = _RefAddressSpace(self._machine)
+        child.as_limit_bytes = self.as_limit_bytes
+        res = self._envelope()
+        copied: List[_RefVMA] = []
+        for v in self._vmas:
+            nv = _RefVMA(v.name, v.size_bytes, v.writable, v.shared_cache)
+            if cow and not v.shared_cache:
+                source = v.cow_source
+                if source is None:
+                    # First COW fork of this region: the parent's eager
+                    # reservation (if any) moves into the shared source.
+                    source = _RefCowSource(v.size_bytes, charged=v.charged)
+                    source.refs = 1
+                    v.cow_source = source
+                    v.charged = False
+                    if v.cow_broken is None:
+                        v.cow_broken = set()
+                source.refs += 1
+                nv.cow_source = source
+                nv.cow_broken = set()
+            elif res is not None:
+                try:
+                    self._reserve(res, nv)
+                except SyscallError:
+                    for done in copied:
+                        if done.cow_source is not None:
+                            # Undo the refcount bump; the source stays
+                            # charged (the parent still references it).
+                            done.cow_source.refs -= 1
+                        else:
+                            self._release(res, done)
+                    raise SyscallError(
+                        ENOMEM, "out of memory: fork address space"
+                    ) from None
+            copied.append(nv)
+        child._vmas = copied
+        return child
+
+    def touch(self, vma: _RefVMA, page_index: int = 0) -> bool:
+        """Simulate the first write to one page of a COW mapping.
+
+        Returns True when the write broke COW for the page (charging one
+        page of RAM to the envelope and ``cow_break_per_page`` of virtual
+        time); False when the mapping is not COW or the page was already
+        broken.  Raises ENOMEM — leaving the envelope balanced — when the
+        RAM budget cannot cover the private page copy.
+        """
+        if vma.cow_source is None or vma.cow_broken is None:
+            return False
+        if not 0 <= page_index < vma.pages:
+            raise ValueError(
+                f"page {page_index} out of range for {vma!r}"
+            )
+        if page_index in vma.cow_broken:
+            return False
+        res = self._envelope()
+        if res is not None:
+            if not res.reserve_ram(PAGE_SIZE, owner=f"cow:{vma.name}"):
+                raise SyscallError(
+                    ENOMEM, f"out of memory: COW break {vma.name!r}"
+                )
+            vma.cow_charged_bytes += PAGE_SIZE
+        machine = self._machine
+        if machine is not None:
+            machine.charge("cow_break_per_page")
+        vma.cow_broken.add(page_index)
+        return True
+
+    def touch_range(self, vma: _RefVMA, start_page: int, count: int) -> int:
+        """Break COW for ``count`` pages starting at ``start_page``.
+
+        Returns the number of pages newly broken.  If the RAM budget is
+        exhausted mid-range, every page broken *by this call* is rolled
+        back (released and un-broken) before the ENOMEM propagates, so a
+        failed large write leaves the envelope exactly as it found it.
+        """
+        broken_here: List[int] = []
+        res = self._envelope()
+        try:
+            for page in range(start_page, start_page + count):
+                if self.touch(vma, page):
+                    broken_here.append(page)
+        except SyscallError:
+            for page in broken_here:
+                vma.cow_broken.discard(page)  # type: ignore[union-attr]
+                if res is not None:
+                    res.release_ram(PAGE_SIZE)
+                    vma.cow_charged_bytes -= PAGE_SIZE
+            raise
+        return len(broken_here)
+
+    def __iter__(self) -> Iterator[_RefVMA]:
+        return iter(self._vmas)
+
+    def __len__(self) -> int:
+        return len(self._vmas)
+
+    def summary(self) -> Dict[str, int]:
+        return {vma.name: vma.size_bytes for vma in self._vmas}
+
+
+_REGIONS = ("heap", "stack", "dylib:UIKit", "dyld_shared_cache", "tex")
+#: Private, writable and shared-cache mappings.
+_MAP_KINDS = ({}, {"writable": True}, {"shared_cache": True})
+#: Each operation, as often as it is drawn: maps and writes outnumber
+#: unmaps, so that spaces fill up, fork and break COW pages.
+_MM_OPS = (
+    ("map",) * 5
+    + ("fork_copy",) * 3
+    + ("touch",) * 5
+    + ("touch_range",) * 2
+    + ("unmap", "unmap_all")
+)
+
+
+def _mm_ops(names):
+    """One operation: ``(name, space, pick, number, count)``.
+
+    The space is picked modulo the number of spaces; small indices keep
+    most operations on the first spaces and their first forks, so that
+    forks of forks happen.  ``pick`` picks a map's region and kind, a
+    fork's mode, or a mapping modulo the space's mappings.  ``number`` is
+    a map's size, from 0 to past the budget, or a page of the picked
+    mapping, from one below it to one past its end.  ``count`` is the
+    length of a ``touch_range``.
+    """
+    return st.tuples(
+        st.sampled_from(names),
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=0, max_value=15),
+        st.integers(min_value=0, max_value=3 << 20),
+        st.integers(min_value=-1, max_value=300),
+    )
+
+
+#: A program: the RAM budget in MB (None: no envelope), each first
+#: space's RLIMIT_AS (None: unlimited), a few maps to start from, then
+#: any operations.
+_mm_program = st.tuples(
+    st.sampled_from((None, 1, 2)),
+    st.lists(
+        st.one_of(
+            st.none(), st.none(), st.integers(min_value=0, max_value=4 << 20)
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    st.lists(_mm_ops(("map",)), min_size=1, max_size=6),
+    st.lists(_mm_ops(_MM_OPS), min_size=10, max_size=40),
+)
+
+
+def _vma_view(vma):
+    return (vma.name, vma.size_bytes, vma.writable, vma.shared_cache, vma.pages)
+
+
+class _MMRun:
+    """One implementation of the address-space API on its own booted
+    machine, driven by a generated program."""
+
+    def __init__(self, space_class, ram_mb, as_limits):
+        self.machine = nexus7().boot()
+        if ram_mb is not None:
+            self.machine.install_resources(ResourceEnvelope(ram_mb=ram_mb))
+        self.spaces = []
+        for limit in as_limits:
+            space = space_class(self.machine)
+            space.as_limit_bytes = limit
+            self.spaces.append(space)
+
+    def step(self, op):
+        """Run one operation: its result (or errno or exception type)
+        and the picoseconds it charged."""
+        clock = self.machine.clock
+        before = clock.charged_ps
+        try:
+            result = self._apply(*op)
+        except SyscallError as err:
+            result = ("errno", err.errno)
+        except ValueError:
+            result = ("ValueError",)
+        return result, clock.charged_ps - before
+
+    def _apply(self, name, which, pick, number, count):
+        space = self.spaces[which % len(self.spaces)]
+        if name == "map":
+            region = _REGIONS[pick % len(_REGIONS)]
+            kind = _MAP_KINDS[pick % len(_MAP_KINDS)]
+            return _vma_view(space.map(region, number, **kind))
+        if name == "unmap_all":
+            return space.unmap_all()
+        if name == "fork_copy":
+            self.spaces.append(space.fork_copy(cow=bool(pick % 2)))
+            return len(self.spaces)
+        vmas = list(space)
+        if not vmas:
+            return "empty"
+        vma = vmas[pick % len(vmas)]
+        if name == "unmap":
+            return space.unmap(vma)
+        page = number % (vma.pages + 2) - 1
+        if name == "touch":
+            return space.touch(vma, page)
+        return space.touch_range(vma, page, count)
+
+    def observe(self):
+        res = self.machine.resources
+        envelope = None
+        if res is not None:
+            shared = tuple(res.shared_refs(region) for region in _REGIONS)
+            envelope = (res.ram_used, shared)
+        spaces = [
+            (
+                space.summary(),
+                len(space),
+                space.total_bytes,
+                space.total_pages,
+                space.copied_on_fork_pages,
+                [_vma_view(vma) for vma in space],
+            )
+            for space in self.spaces
+        ]
+        return envelope, spaces
+
+
+#: An eager fork, then a COW fork of the parent: the eager child's heap
+#: must not turn COW with the parent's.
+_EAGER_THEN_COW_FORK = (
+    None,
+    [None],
+    [("map", 0, 0, 2 * PAGE_SIZE, 0)],
+    [("fork_copy", 0, 0, 0, 0), ("fork_copy", 0, 1, 0, 0)],
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mm_program)
+@example(_EAGER_THEN_COW_FORK)
+def test_address_space_matches_reference_model(program):
+    """Programs of maps, unmaps, eager and COW forks (of forks too) and
+    COW writes over up to four spaces, with no envelope or one small
+    enough to run out: after every step the address space and the
+    reference model agree on its result, its charge, the envelope's
+    RAM and shared-cache refcounts, and every space's contents and
+    totals.
+
+    Only a write shows whether a mapping is COW in a space, so a program
+    ends by writing to every mapping of every space twice over.  First
+    one page past its end, which raises ValueError exactly when the
+    mapping is COW there and changes nothing.  Then page 0, which two
+    spaces each break only if neither sees the other's broken pages."""
+    ram_mb, as_limits, maps, ops = program
+    real = _MMRun(AddressSpace, ram_mb, as_limits)
+    model = _MMRun(_RefAddressSpace, ram_mb, as_limits)
+    for op in maps + ops:
+        assert real.step(op) == model.step(op), op
+        assert real.observe() == model.observe(), op
+    for past_end in (True, False):
+        for which, space in enumerate(real.spaces):
+            for index, vma in enumerate(space):
+                # ``number`` picks page ``number % (pages + 2) - 1``.
+                number = vma.pages + 1 if past_end else 1
+                op = ("touch", which, index, number, None)
+                assert real.step(op) == model.step(op), op
+    assert real.observe() == model.observe()
 
 
 # -- descriptor tables ------------------------------------------------------------------------

@@ -20,8 +20,13 @@ Covers the acceptance criteria of the resource tentpole:
   envelope and with a generous never-exhausted one.
 """
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.cider.system import build_cider, build_vanilla_android
 from repro.hw.profiles import nexus7
 from repro.kernel.errno import (
@@ -679,3 +684,29 @@ def test_generous_envelope_charges_identical_virtual_time():
         ResourceEnvelope(ram_mb=1 << 20, storage_mb=1 << 20, gralloc_mb=1 << 20)
     )
     assert plain == generous
+
+
+def test_memory_pressure_transcript_matches_committed():
+    """``examples/memory_pressure.py`` prints the committed transcript
+    byte for byte: the hog's chunk count, every jetsam and
+    lowmemorykiller kill with its footprint and ns stamp, the survivors'
+    footprints and the summary JSON.  Re-record (only for an intended
+    change to memory accounting or the pressure daemons) with::
+
+        PYTHONHASHSEED=0 PYTHONPATH=src python examples/memory_pressure.py \\
+            2014 > benchmarks/memory_pressure_stdout.txt
+    """
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    root = os.path.dirname(src)
+    env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="0")
+    example = os.path.join(root, "examples", "memory_pressure.py")
+    out = subprocess.run(
+        [sys.executable, example, "2014"],
+        check=True,
+        stdout=subprocess.PIPE,
+        env=env,
+        timeout=120,
+    ).stdout
+    pinned = os.path.join(root, "benchmarks", "memory_pressure_stdout.txt")
+    with open(pinned, "rb") as fh:
+        assert out == fh.read()
