@@ -22,6 +22,8 @@ nothing observes is recorded once per dependency root as a
 :class:`WalkPlan` and replayed while everything it read is unchanged.
 The replay charges the same picoseconds and maps the same regions in the
 same order, so the simulated walk, and its virtual time, stay as above.
+It maps the very VMAs the cold walk built: a VMA is a value every
+address space may share (:mod:`repro.kernel.mm`).
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from ..kernel.errno import ENOENT, SyscallError
 from ..kernel.vfs import RegularFile
 
 if TYPE_CHECKING:
+    from ..kernel.mm import VMA
     from ..kernel.process import UserContext
     from ..kernel.vfs import VFS, Directory, Inode
 
@@ -106,7 +109,7 @@ class LaunchClosure:
         self.image = image
         self.generation = generation
         #: The walk this closure was built from: its ordered entries and
-        #: the cache size it mapped.
+        #: the VMAs it mapped.
         self.plan = plan
 
 
@@ -123,17 +126,17 @@ class WalkPlan:
     """
 
     def __init__(self, cache_generation: int) -> None:
-        #: One ``(lib, from_cache, ps, region, size)`` per loaded library
-        #: in load order: the picoseconds charged since the previous map,
-        #: then the region mapped (``None`` when the library maps nothing,
-        #: as prelinked images after the first do).
+        #: One ``(lib, from_cache, ps, vma, on_fork, on_exit)`` per loaded
+        #: library in load order: the picoseconds charged since the
+        #: previous map, the VMA the walk mapped (``None`` when the
+        #: library maps nothing, as prelinked images after the first do),
+        #: and the atfork and atexit handlers it registered (``None`` for
+        #: prelinked images, whose handlers are batched).
         self.entries: List[tuple] = []
         #: Picoseconds charged after the last map.
         self.tail_ps = 0
         #: What the walk reports; every replay returns it as is.
         self.stats = DyldStats()
-        #: Size of the shared-cache region the walk mapped (0 if none).
-        self.cache_total_bytes = 0
         #: What the walk read: the shared-cache generation, every
         #: directory a lookup went through (with its generation at the
         #: time), each walked file with the image it held, and the cache
@@ -353,8 +356,9 @@ class Dyld:
             if dep in loaded:
                 continue
             loaded.add(dep)
-            region: Optional[str] = None
-            ps = size = 0
+            vma: Optional[VMA] = None
+            on_fork = on_exit = None
+            ps = 0
 
             if cache is not None and cache.contains(dep):
                 lib = cache.get(dep)
@@ -363,12 +367,12 @@ class Dyld:
                     # Map the entire prelinked cache once, as a shared
                     # submap fork will not copy.
                     machine.charge("dyld_shared_cache_map")
-                    region, size = SHARED_CACHE_VMA, cache.total_bytes
                     ps = clock.charged_ps - mark
-                    space.map(region, size, shared_cache=True)
+                    vma = space.map(
+                        SHARED_CACHE_VMA, cache.total_bytes, shared_cache=True
+                    )
                     mark = clock.charged_ps
-                    plan.cache_total_bytes = size
-                    stats.mapped_bytes += size
+                    stats.mapped_bytes += vma.size_bytes
                     cache_mapped = True
                     if not self._evictor_registered:
                         self._evictor_registered = True
@@ -387,18 +391,18 @@ class Dyld:
                     plan.files.append((node, lib))
                 machine.charge("dyld_lib_map_per_mb", lib.vm_size_mb)
                 machine.charge("dyld_link_per_lib")
-                region, size = f"dylib:{lib.name}", lib.vm_size_bytes
                 ps = clock.charged_ps - mark
-                space.map(region, size)
+                vma = space.map(f"dylib:{lib.name}", lib.vm_size_bytes)
                 mark = clock.charged_ps
-                stats.mapped_bytes += size
+                stats.mapped_bytes += lib.vm_size_bytes
                 stats.walked_filesystem += 1
                 # Every individually loaded image registers fork and exit
                 # callbacks.
-                atfork.append(f"atfork:{lib.name}")
-                atexit.append(f"atexit:{lib.name}")
+                on_fork, on_exit = f"atfork:{lib.name}", f"atexit:{lib.name}"
+                atfork.append(on_fork)
+                atexit.append(on_exit)
 
-            entries.append((lib, from_cache, ps, region, size))
+            entries.append((lib, from_cache, ps, vma, on_fork, on_exit))
             stats.libraries_loaded += 1
             process.loaded_libraries[lib.name] = lib
             process.loaded_libraries[lib.install_name] = lib
@@ -410,23 +414,23 @@ class Dyld:
 
     def _replay_plan(self, ctx: "UserContext", plan: WalkPlan) -> DyldStats:
         """Repeat a recorded walk: for each library, charge what the cold
-        walk charged before its map, then map, in the cold order — so the
-        clock reads the same at every map, and a map that fails leaves
-        the same state behind."""
+        walk charged before its map, then map the cold walk's VMA, in the
+        cold order — so the clock reads the same at every map, and a map
+        that fails leaves the same state behind."""
         process = ctx.process
         charge_ps = ctx.machine.clock.charge_ps
-        map_region = process.address_space.map
+        map_vma = process.address_space.map_vma
         loaded = process.loaded_libraries
         state = ctx.lib_state(LIBSYSTEM_STATE)
         atfork = state.setdefault("atfork", [])
         atexit = state.setdefault("atexit", [])
-        for lib, from_cache, ps, region, size in plan.entries:
-            if region is not None:
+        for lib, _from_cache, ps, vma, on_fork, on_exit in plan.entries:
+            if vma is not None:
                 charge_ps(ps)
-                map_region(region, size, shared_cache=from_cache)
-                if not from_cache:
-                    atfork.append(f"atfork:{lib.name}")
-                    atexit.append(f"atexit:{lib.name}")
+                map_vma(vma)
+                if on_fork is not None:
+                    atfork.append(on_fork)
+                    atexit.append(on_exit)
             loaded[lib.name] = lib
             loaded[lib.install_name] = lib
         charge_ps(plan.tail_ps)
@@ -442,26 +446,21 @@ class Dyld:
         fix-up) instead of walking the filesystem per library."""
         machine = ctx.machine
         process = ctx.process
+        map_vma = process.address_space.map_vma
         stats = DyldStats()
         stats.closure_hit = True
         machine.charge("dyld_closure_hit")
         state = ctx.lib_state(LIBSYSTEM_STATE)
         atfork = state.setdefault("atfork", [])
         atexit = state.setdefault("atexit", [])
-        cache_mapped = False
-        cache_total_bytes = closure.plan.cache_total_bytes
-        for lib, from_cache, _ps, _region, _size in closure.plan.entries:
+        for lib, from_cache, _ps, vma, on_fork, on_exit in closure.plan.entries:
             if from_cache:
-                if not cache_mapped:
-                    # The cache submap must still be mapped per process.
+                if vma is not None:
+                    # The cache submap must still be mapped per process
+                    # (the walk mapped it at its first prelinked image).
                     machine.charge("dyld_shared_cache_map")
-                    process.address_space.map(
-                        SHARED_CACHE_VMA,
-                        cache_total_bytes,
-                        shared_cache=True,
-                    )
-                    stats.mapped_bytes += cache_total_bytes
-                    cache_mapped = True
+                    map_vma(vma)
+                    stats.mapped_bytes += vma.size_bytes
                 # No per-lib link charge: the closure *is* the
                 # prevalidated bind state for prelinked images — the
                 # single ``dyld_closure_hit`` validation covered it.
@@ -470,11 +469,11 @@ class Dyld:
             else:
                 machine.charge("dyld_lib_map_per_mb", lib.vm_size_mb)
                 machine.charge("dyld_closure_lib_replay")
-                process.address_space.map(f"dylib:{lib.name}", lib.vm_size_bytes)
-                stats.mapped_bytes += lib.vm_size_bytes
+                map_vma(vma)
+                stats.mapped_bytes += vma.size_bytes
                 stats.from_closure += 1
-                atfork.append(f"atfork:{lib.name}")
-                atexit.append(f"atexit:{lib.name}")
+                atfork.append(on_fork)
+                atexit.append(on_exit)
             stats.libraries_loaded += 1
             process.loaded_libraries[lib.name] = lib
             process.loaded_libraries[lib.install_name] = lib

@@ -8,19 +8,26 @@ for duplicating every page-table entry on fork (~1 ms of the 3.75 ms
 fork+exit time, §6.2), while regions backed by the dyld shared cache are a
 shared submap on XNU and are not copied per-process.
 
+A mapping is a value: a :class:`VMA` is never written after it is built,
+so a parent and the children it forks, and every process a dyld walk plan
+is replayed into, share one VMA object per region.  Everything that
+belongs to one process belongs to its :class:`AddressSpace`: the envelope
+reservations it holds, the COW pages it has broken, and its running
+totals.
+
 Resource accounting: when the machine carries a
 :class:`~repro.sim.resources.ResourceEnvelope`, every :meth:`map` /
 :meth:`fork_copy` charges the machine-wide RAM budget (shared-cache
 regions are charged once, refcounted) and every :meth:`unmap` /
-:meth:`unmap_all` releases it — this is what lets jetsam and the
-lowmemorykiller observe real scarcity.  Per-process ``RLIMIT_AS`` is
-enforced here too.  Both checks cost one ``is None`` test when off and
-never charge virtual time.
+:meth:`unmap_all` releases what the space recorded as held — this is
+what lets jetsam and the lowmemorykiller observe real scarcity.
+Per-process ``RLIMIT_AS`` is enforced here too.  Both checks cost one
+``is None`` test when off and never charge virtual time.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Set
 
 from .errno import ENOMEM, SyscallError
 
@@ -35,7 +42,7 @@ class CowSource:
     """The shared physical pages behind a family of COW mappings.
 
     Created when :meth:`AddressSpace.fork_copy` runs in COW mode: the
-    parent's RAM reservation moves here and both parent and child VMAs
+    parent's RAM reservation moves here and both parent and child spaces
     hold a reference — refcounted exactly like shared-cache segments, so
     the underlying bytes are released only when the *last* mapping goes
     (a parent exiting before its child must not free pages the child
@@ -52,23 +59,16 @@ class CowSource:
 
 
 class VMA:
-    """One mapped virtual memory region.
+    """One mapped virtual memory region: a value, which nothing may write
+    to after it is built.
 
-    ``__slots__``: dyld creates ~115 of these per Mach-O exec and fork
-    duplicates all of them — the hottest allocation after trace events.
+    Address spaces, their forks and dyld walk plans share VMAs by
+    reference, so a VMA holds nothing that belongs to one process: the
+    :class:`AddressSpace` that maps it records the reservation and COW
+    pages it holds for it.
     """
 
-    __slots__ = (
-        "name",
-        "size_bytes",
-        "writable",
-        "shared_cache",
-        "charged",
-        "shared_key",
-        "cow_source",
-        "cow_broken",
-        "cow_charged_bytes",
-    )
+    __slots__ = ("name", "size_bytes", "writable", "shared_cache", "pages")
 
     def __init__(
         self,
@@ -85,44 +85,44 @@ class VMA:
         #: Backed by the dyld shared cache: lives in a kernel-shared
         #: submap, so fork does not duplicate its page tables.
         self.shared_cache = shared_cache
-        #: Resource-envelope bookkeeping: True when these bytes were
-        #: charged to the machine RAM budget; for shared-cache regions the
-        #: refcounted reservation key instead.
-        self.charged = False
-        self.shared_key: Optional[str] = None
-        #: COW: the shared page source this mapping references (None for
-        #: eagerly copied/private regions) and the page indices privately
-        #: re-copied after a write fault (each holds one page of RAM).
-        self.cow_source: Optional[CowSource] = None
-        self.cow_broken: Optional[set] = None
-        #: Bytes charged to the RAM budget by COW breaks on this mapping
-        #: (one page per break); released with the mapping.
-        self.cow_charged_bytes = 0
-
-    @property
-    def pages(self) -> int:
-        return (self.size_bytes + PAGE_SIZE - 1) // PAGE_SIZE
-
-    @property
-    def cow_broken_bytes(self) -> int:
-        """Bytes privately held by COW-broken pages of this mapping."""
-        return len(self.cow_broken) * PAGE_SIZE if self.cow_broken else 0
+        self.pages = (size_bytes + PAGE_SIZE - 1) // PAGE_SIZE
 
     def __repr__(self) -> str:
         tag = " shared-cache" if self.shared_cache else ""
-        if self.cow_source is not None:
-            tag += f" cow({len(self.cow_broken or ())} broken)"
         return f"<VMA {self.name!r} {self.size_bytes >> 10}KB{tag}>"
 
 
+class _CowRecord:
+    """One space's side of a COW-mapped region: the shared source it
+    reads, the page indices it privately re-copied after a write fault
+    (each holds one page of RAM), and the bytes those copies charged to
+    the RAM budget (released with the mapping)."""
+
+    __slots__ = ("source", "broken", "charged_bytes")
+
+    def __init__(self, source: CowSource) -> None:
+        self.source = source
+        self.broken: Set[int] = set()
+        self.charged_bytes = 0
+
+
 class AddressSpace:
-    """The set of VMAs belonging to one process.
+    """The mappings of one process, and everything it holds for them.
 
     ``machine`` is optional (tests build bare address spaces); when
     present, :meth:`map` is an ``mm.map`` / ``mm.reserve`` fault-injection
     point so seeded plans can simulate transient allocation failure and
     forced scarcity verdicts (ENOMEM), and the machine's resource
     envelope — when installed — is charged for every mapping.
+
+    VMAs are shared with other spaces, so what this process holds for a
+    mapping is recorded here, keyed by the VMA's identity: the mappings
+    it holds an envelope reservation for, and one :class:`_CowRecord`
+    per COW-mapped region.  Both stay empty unless an envelope is
+    installed or a COW fork has happened.  ``total_bytes``,
+    ``total_pages`` and ``copied_on_fork_pages`` are running sums over
+    the mappings.  Invariant: one VMA object appears at most once in one
+    address space.
     """
 
     def __init__(self, machine: Optional["Machine"] = None) -> None:
@@ -131,6 +131,12 @@ class AddressSpace:
         #: RLIMIT_AS soft limit in bytes (None = unlimited); kept in sync
         #: by the setrlimit trap.
         self.as_limit_bytes: Optional[int] = None
+        self.total_bytes = 0
+        self.total_pages = 0
+        #: Pages whose PTEs fork must duplicate (shared cache excluded).
+        self.copied_on_fork_pages = 0
+        self._reserved: Set[VMA] = set()
+        self._cow: Dict[VMA, _CowRecord] = {}
 
     def _envelope(self) -> Optional["ResourceEnvelope"]:
         machine = self._machine
@@ -143,6 +149,13 @@ class AddressSpace:
         writable: bool = False,
         shared_cache: bool = False,
     ) -> VMA:
+        return self.map_vma(VMA(name, size_bytes, writable, shared_cache))
+
+    def map_vma(self, vma: VMA) -> VMA:
+        """Map ``vma``, which other spaces may map too (but this one must
+        not already)."""
+        name = vma.name
+        size_bytes = vma.size_bytes
         machine = self._machine
         if machine is not None and machine.faults is not None:
             outcome = machine.faults.check(
@@ -177,60 +190,53 @@ class AddressSpace:
                     raise SyscallError(
                         ENOMEM, f"fault injected: reserve {name!r}"
                     )
-        if (
-            self.as_limit_bytes is not None
-            and self.total_bytes + size_bytes > self.as_limit_bytes
-        ):
+        total_bytes = self.total_bytes + size_bytes
+        if self.as_limit_bytes is not None and total_bytes > self.as_limit_bytes:
             raise SyscallError(
                 ENOMEM, f"RLIMIT_AS: map {name!r} ({size_bytes} bytes)"
             )
-        vma = VMA(name, size_bytes, writable, shared_cache)
         res = self._envelope()
         if res is not None:
             self._reserve(res, vma)
+            self._reserved.add(vma)
         self._vmas.append(vma)
+        self.total_bytes = total_bytes
+        self.total_pages += vma.pages
+        if not vma.shared_cache:
+            self.copied_on_fork_pages += vma.pages
         return vma
 
     @staticmethod
     def _reserve(res: "ResourceEnvelope", vma: VMA) -> None:
         """Charge one VMA to the envelope, or raise ENOMEM."""
         if vma.shared_cache:
-            if not res.reserve_shared(vma.name, vma.size_bytes):
-                raise SyscallError(
-                    ENOMEM, f"out of memory: map {vma.name!r}"
-                )
-            vma.shared_key = vma.name
+            reserved = res.reserve_shared(vma.name, vma.size_bytes)
         else:
-            if not res.reserve_ram(vma.size_bytes, owner=vma.name):
-                raise SyscallError(
-                    ENOMEM, f"out of memory: map {vma.name!r}"
-                )
-            vma.charged = True
+            reserved = res.reserve_ram(vma.size_bytes, owner=vma.name)
+        if not reserved:
+            raise SyscallError(ENOMEM, f"out of memory: map {vma.name!r}")
 
-    @staticmethod
-    def _release(res: "ResourceEnvelope", vma: VMA) -> None:
-        if vma.shared_key is not None:
-            res.release_shared(vma.shared_key)
-            vma.shared_key = None
-        elif vma.charged:
-            res.release_ram(vma.size_bytes)
-            vma.charged = False
-        if vma.cow_charged_bytes:
-            res.release_ram(vma.cow_charged_bytes)
-            vma.cow_charged_bytes = 0
+    def _release(self, res: Optional["ResourceEnvelope"], vma: VMA) -> None:
+        """Drop this space's records for ``vma``, returning to the
+        envelope what they hold.
 
-    @staticmethod
-    def _drop_cow_ref(res: Optional["ResourceEnvelope"], vma: VMA) -> None:
-        """Release this mapping's reference on its COW page source.
-
-        The source's reservation is freed only when the *last* referencing
-        mapping goes away — a parent exiting before its child must not free
-        pages the child still reads.
+        A COW page source is freed only when the *last* referencing
+        mapping goes away — a parent exiting before its child must not
+        free pages the child still reads.
         """
-        source = vma.cow_source
-        if source is None:
+        if vma in self._reserved:
+            self._reserved.remove(vma)
+            if res is not None:
+                if vma.shared_cache:
+                    res.release_shared(vma.name)
+                else:
+                    res.release_ram(vma.size_bytes)
+        record = self._cow.pop(vma, None)
+        if record is None:
             return
-        vma.cow_source = None
+        if res is not None and record.charged_bytes:
+            res.release_ram(record.charged_bytes)
+        source = record.source
         source.refs -= 1
         if source.refs == 0 and source.charged:
             if res is not None:
@@ -239,19 +245,21 @@ class AddressSpace:
 
     def unmap(self, vma: VMA) -> None:
         self._vmas.remove(vma)
-        res = self._envelope()
-        if res is not None:
-            self._release(res, vma)
-        self._drop_cow_ref(res, vma)
+        self.total_bytes -= vma.size_bytes
+        self.total_pages -= vma.pages
+        if not vma.shared_cache:
+            self.copied_on_fork_pages -= vma.pages
+        if self._reserved or self._cow:
+            self._release(self._envelope(), vma)
 
     def unmap_all(self) -> None:
         """exec() tears down the old image."""
-        res = self._envelope()
-        for vma in self._vmas:
-            if res is not None:
+        if self._reserved or self._cow:
+            res = self._envelope()
+            for vma in self._vmas:
                 self._release(res, vma)
-            self._drop_cow_ref(res, vma)
         self._vmas.clear()
+        self.total_bytes = self.total_pages = self.copied_on_fork_pages = 0
 
     def find(self, name: str) -> Optional[VMA]:
         for vma in self._vmas:
@@ -259,21 +267,11 @@ class AddressSpace:
                 return vma
         return None
 
-    @property
-    def total_bytes(self) -> int:
-        return sum(vma.size_bytes for vma in self._vmas)
-
-    @property
-    def total_pages(self) -> int:
-        return sum(vma.pages for vma in self._vmas)
-
-    @property
-    def copied_on_fork_pages(self) -> int:
-        """Pages whose PTEs fork must duplicate (shared cache excluded)."""
-        return sum(vma.pages for vma in self._vmas if not vma.shared_cache)
-
     def fork_copy(self, cow: bool = False) -> "AddressSpace":
         """Duplicate the structure (the copy cost is charged by fork).
+
+        The child maps the parent's VMAs themselves and starts from its
+        totals; only the accounting below is per mapping.
 
         Eager mode (``cow=False``): with a resource envelope installed the
         child's private regions charge the RAM budget (this is why 32 iOS
@@ -290,40 +288,38 @@ class AddressSpace:
         """
         child = AddressSpace(self._machine)
         child.as_limit_bytes = self.as_limit_bytes
+        child._vmas = list(self._vmas)
+        child.total_bytes = self.total_bytes
+        child.total_pages = self.total_pages
+        child.copied_on_fork_pages = self.copied_on_fork_pages
         res = self._envelope()
-        copied: List[VMA] = []
-        for v in self._vmas:
-            nv = VMA(v.name, v.size_bytes, v.writable, v.shared_cache)
-            if cow and not v.shared_cache:
-                source = v.cow_source
-                if source is None:
+        if not cow and res is None:
+            return child
+        for index, vma in enumerate(self._vmas):
+            if cow and not vma.shared_cache:
+                record = self._cow.get(vma)
+                if record is None:
                     # First COW fork of this region: the parent's eager
                     # reservation (if any) moves into the shared source.
-                    source = CowSource(v.size_bytes, charged=v.charged)
+                    source = CowSource(vma.size_bytes, vma in self._reserved)
                     source.refs = 1
-                    v.cow_source = source
-                    v.charged = False
-                    if v.cow_broken is None:
-                        v.cow_broken = set()
-                source.refs += 1
-                nv.cow_source = source
-                nv.cow_broken = set()
+                    self._reserved.discard(vma)
+                    record = self._cow[vma] = _CowRecord(source)
+                record.source.refs += 1
+                child._cow[vma] = _CowRecord(record.source)
             elif res is not None:
                 try:
-                    self._reserve(res, nv)
+                    self._reserve(res, vma)
                 except SyscallError:
-                    for done in copied:
-                        if done.cow_source is not None:
-                            # Undo the refcount bump; the source stays
-                            # charged (the parent still references it).
-                            done.cow_source.refs -= 1
-                        else:
-                            self._release(res, done)
+                    # Release what the child holds so far: its reservations
+                    # and its COW references (each source stays charged,
+                    # as the parent still references it).
+                    del child._vmas[index:]
+                    child.unmap_all()
                     raise SyscallError(
                         ENOMEM, "out of memory: fork address space"
                     ) from None
-            copied.append(nv)
-        child._vmas = copied
+                child._reserved.add(vma)
         return child
 
     def touch(self, vma: VMA, page_index: int = 0) -> bool:
@@ -331,17 +327,18 @@ class AddressSpace:
 
         Returns True when the write broke COW for the page (charging one
         page of RAM to the envelope and ``cow_break_per_page`` of virtual
-        time); False when the mapping is not COW or the page was already
-        broken.  Raises ENOMEM — leaving the envelope balanced — when the
-        RAM budget cannot cover the private page copy.
+        time); False when the mapping is not COW in this space or the page
+        was already broken.  Raises ENOMEM — leaving the envelope
+        balanced — when the RAM budget cannot cover the private page copy.
         """
-        if vma.cow_source is None or vma.cow_broken is None:
+        record = self._cow.get(vma)
+        if record is None:
             return False
         if not 0 <= page_index < vma.pages:
             raise ValueError(
                 f"page {page_index} out of range for {vma!r}"
             )
-        if page_index in vma.cow_broken:
+        if page_index in record.broken:
             return False
         res = self._envelope()
         if res is not None:
@@ -349,11 +346,11 @@ class AddressSpace:
                 raise SyscallError(
                     ENOMEM, f"out of memory: COW break {vma.name!r}"
                 )
-            vma.cow_charged_bytes += PAGE_SIZE
+            record.charged_bytes += PAGE_SIZE
         machine = self._machine
         if machine is not None:
             machine.charge("cow_break_per_page")
-        vma.cow_broken.add(page_index)
+        record.broken.add(page_index)
         return True
 
     def touch_range(self, vma: VMA, start_page: int, count: int) -> int:
@@ -365,17 +362,18 @@ class AddressSpace:
         failed large write leaves the envelope exactly as it found it.
         """
         broken_here: List[int] = []
-        res = self._envelope()
         try:
             for page in range(start_page, start_page + count):
                 if self.touch(vma, page):
                     broken_here.append(page)
         except SyscallError:
+            record = self._cow[vma]
+            res = self._envelope()
             for page in broken_here:
-                vma.cow_broken.discard(page)  # type: ignore[union-attr]
+                record.broken.discard(page)
                 if res is not None:
                     res.release_ram(PAGE_SIZE)
-                    vma.cow_charged_bytes -= PAGE_SIZE
+                    record.charged_bytes -= PAGE_SIZE
             raise
         return len(broken_here)
 

@@ -234,7 +234,8 @@ class TestCowFork:
         used = machine.resources.ram_used
         child = parent.fork_copy(cow=True)
         assert machine.resources.ram_used == used
-        assert child.find("heap").cow_source is parent.find("heap").cow_source
+        child_source = child._cow[child.find("heap")].source
+        assert child_source is parent._cow[parent.find("heap")].source
 
     def test_eager_fork_still_duplicates(self):
         machine, parent, _ = _cow_fixture()
@@ -279,8 +280,8 @@ class TestCowFork:
             child.touch_range(cvma, 0, 100)
         assert err.value.errno == E.ENOMEM
         assert machine.resources.ram_used == used
-        assert cvma.cow_broken == set()
-        assert cvma.cow_charged_bytes == 0
+        assert child._cow[cvma].broken == set()
+        assert child._cow[cvma].charged_bytes == 0
 
     def test_child_teardown_releases_only_broken_pages(self):
         """The jetsam-kill contract: killing a COW child must free its
@@ -314,7 +315,7 @@ class TestCowFork:
         pvma = parent.map("heap", MB, writable=True)
         parent.map("cache", MB, shared_cache=True)
         parent.fork_copy(cow=True)  # heap → COW source (2 refs), 0 new RAM
-        source = pvma.cow_source
+        source = parent._cow[pvma].source
         refs = source.refs
         before = machine.resources.ram_used
         with pytest.raises(SyscallError) as err:
