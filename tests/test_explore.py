@@ -1,6 +1,12 @@
 """Tests for the concurrency exploration engine (repro.sim.explore)."""
 
+import os
+import subprocess
+import sys
+
 import pytest
+
+import repro
 
 from repro.sim import (
     FifoPolicy,
@@ -384,3 +390,53 @@ class TestZeroCostWhenOff:
         assert machine.scheduler.hb is None
         assert machine.scheduler._policy is None
         system.shutdown()
+
+
+# -- committed outputs ---------------------------------------------------------
+
+SRC = os.path.dirname(os.path.dirname(repro.__file__))
+ROOT = os.path.dirname(SRC)
+
+
+def _stdout(*argv):
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONHASHSEED="0")
+    return subprocess.run(
+        [sys.executable, *argv],
+        check=True,
+        stdout=subprocess.PIPE,
+        env=env,
+        cwd=ROOT,
+        timeout=120,
+    ).stdout
+
+
+def _committed(name):
+    with open(os.path.join(ROOT, "benchmarks", name), "rb") as fh:
+        return fh.read()
+
+
+def test_schedsweep_transcript_matches_committed():
+    """``python -m repro.workloads.schedsweep`` prints the committed
+    report byte for byte: every explored schedule's outcome, each
+    scenario's canonical failures and minimized traces, and the sweep
+    sha256.  Re-record (only for an intended change to the schedules the
+    scheduler runs) with::
+
+        PYTHONHASHSEED=0 PYTHONPATH=src python -m repro.workloads.schedsweep \\
+            > benchmarks/schedsweep_transcript.txt
+    """
+    out = _stdout("-m", "repro.workloads.schedsweep")
+    assert out == _committed("schedsweep_transcript.txt")
+
+
+def test_race_hunt_stdout_matches_committed():
+    """``examples/race_hunt.py`` prints the committed transcript byte for
+    byte: the hunt's counts, the canonical race report, its minimized
+    choice trace and both replays.  Re-record (only for an intended
+    change to the schedules the scheduler runs) with::
+
+        PYTHONHASHSEED=0 PYTHONPATH=src python examples/race_hunt.py \\
+            > benchmarks/race_hunt_stdout.txt
+    """
+    out = _stdout(os.path.join("examples", "race_hunt.py"))
+    assert out == _committed("race_hunt_stdout.txt")

@@ -2,6 +2,7 @@
 invariants."""
 
 from itertools import count
+from types import SimpleNamespace
 from typing import Dict, Iterator, List, Optional
 
 from hypothesis import example, given, settings
@@ -991,80 +992,239 @@ def test_scheduler_timeline_reproducible(program, nthreads):
     assert execute() == execute()
 
 
+_queue = st.integers(min_value=0, max_value=1)
+_ns = st.integers(min_value=1, max_value=1000)
 _leaf_op = st.one_of(
     st.just(("yield",)),
-    st.tuples(st.just("sleep"), st.integers(min_value=1, max_value=1000)),
+    st.tuples(st.just("sleep"), _ns),
+    st.tuples(st.sampled_from(["block", "wake_one", "wake_all"]), _queue),
+    st.tuples(st.just("block_timeout"), _queue, _ns),
     st.tuples(
-        st.sampled_from(["block", "wake_one", "wake_all"]),
-        st.integers(min_value=0, max_value=1),
+        st.just("block_any"),
+        st.lists(_queue, max_size=2, unique=True).map(tuple),
+        st.none() | _ns,
     ),
+    st.tuples(st.just("kill"), st.integers(min_value=0, max_value=7)),
+    st.tuples(st.just("charge"), _ns),
     st.just(("raise",)),
 )
 _thread_op = st.one_of(
     _leaf_op,
-    st.tuples(st.just("spawn_join"), st.lists(_leaf_op, max_size=3)),
+    st.tuples(
+        st.sampled_from(["spawn_join", "spawn", "spawn_daemon"]),
+        st.lists(_leaf_op, max_size=3),
+    ),
+    st.tuples(st.just("join"), st.integers(min_value=0, max_value=7)),
+)
+_thread_program = st.lists(
+    st.lists(_thread_op, min_size=1, max_size=6), min_size=1, max_size=4
 )
 
+#: How ``_run_thread_program`` drives a program: ``run``;
+#: ``run_until_done`` of the first thread; ``run_world`` over two
+#: schedulers (thread i on scheduler i % 2, wait queues shared); ``run``
+#: under a ``SeededRandomPolicy``.
+DRIVES = ("run", "until", "world", "policy")
+#: None, or ``set_watchdog``'s (budget ns, kill) arguments.
+_watchdog = st.none() | st.tuples(st.integers(min_value=1, max_value=1500), st.booleans())
 
-def _run_thread_program(program):
-    """Run one list of ops per thread on a fresh scheduler; return the
-    event log, the outcome and the final clock."""
-    from repro.sim import DeadlockError, Scheduler, VirtualClock, WaitQueue
 
-    clock = VirtualClock()
-    sched = Scheduler(clock)
-    queues = [WaitQueue("q0"), WaitQueue("q1")]
+class _RecordingHB:
+    """Stands in for an HBMonitor: logs each scheduler edge with the
+    token holder at that moment."""
+
+    def __init__(self, scheduler, log):
+        self._sched = scheduler
+        self._log = log
+
+    def on_spawn(self, thread):
+        self._log.append(("hb.spawn", thread.name, self._sched._current.name))
+
+    def on_wake(self, thread):
+        self._log.append(("hb.wake", thread.name, self._sched._current.name))
+
+
+def _run_thread_program(
+    program, mod=None, drive="run", watchdog=None, seed=0, hb=False
+):
+    """Run one list of ops per thread on fresh schedulers from ``mod`` (a
+    scheduler module: ``repro.sim.scheduler`` by default, or the
+    reference copy); drive them as ``drive`` names (see ``DRIVES``), then
+    shut down, reopen and run the program again the same way.  Return
+    everything observable: the event log with clock ps, each pass's
+    outcome, and the schedulers' and threads' final state."""
+    from repro.sim import SeededRandomPolicy, VirtualClock
+    from repro.sim.errors import SimulationError
+
+    if mod is None:
+        from repro.sim import scheduler as mod
+    scheds = [mod.Scheduler(VirtualClock()) for _ in range(2 if drive == "world" else 1)]
+    queues = [mod.WaitQueue("q0"), mod.WaitQueue("q1")]
+    threads = []
     log = []
+    for index, sched in enumerate(scheds):
+        if hb:
+            sched.hb = _RecordingHB(sched, log)
+        sched.trace_hook = lambda category, name, m=index, **detail: log.append(
+            (m, category, name, sorted(detail.items()))
+        )
+        sched.on_watchdog_kill = lambda victim: log.append(("kill", victim.name))
+        if watchdog is not None:
+            sched.set_watchdog(*watchdog)
+    policies = []
+    if drive == "policy":
+        policies.append(scheds[0].set_policy(SeededRandomPolicy(seed)))
 
-    def interpret(tag, ops):
-        for op in ops:
+    def spawn(sched, tag, ops, daemon=False):
+        thread = sched.spawn(lambda: interpret(sched, tag, ops), tag, daemon)
+        threads.append(thread)
+        return thread
+
+    def join(sched, tag, thread):
+        try:
+            sched.join(thread)
+        except ValueError as exc:
+            log.append((tag, "joined a raise", str(exc)))
+
+    def interpret(sched, tag, ops):
+        clock = sched.clock
+        for step, op in enumerate(ops):
             log.append((tag, op[0], clock.now_ps))
-            if op[0] == "yield":
+            name = op[0]
+            if name == "yield":
                 sched.yield_control()
-            elif op[0] == "sleep":
+            elif name == "sleep":
                 sched.sleep(op[1])
-            elif op[0] == "block":
+            elif name == "block":
                 sched.block_on(queues[op[1]])
-            elif op[0] == "wake_one":
-                queues[op[1]].wake_one()
-            elif op[0] == "wake_all":
-                queues[op[1]].wake_all()
-            elif op[0] == "raise":
+            elif name == "block_timeout":
+                log.append((tag, sched.block_on_timeout(queues[op[1]], op[2])))
+            elif name == "block_any":
+                woken = sched.block_on_any([queues[q] for q in op[1]], op[2])
+                log.append((tag, woken))
+            elif name == "wake_one":
+                woken = queues[op[1]].wake_one()
+                log.append((tag, None if woken is None else woken.name))
+            elif name == "wake_all":
+                log.append((tag, [t.name for t in queues[op[1]].wake_all()]))
+            elif name == "kill":
+                victim = threads[op[1] % len(threads)]
+                victim._scheduler.kill_thread(victim)
+            elif name == "join":
+                target = threads[op[1] % len(threads)]
+                if target._scheduler is not sched or target is sched.current_thread():
+                    continue
+                join(sched, tag, target)
+            elif name == "charge":
+                clock.charge(op[1])
+            elif name == "raise":
                 raise ValueError(tag)
             else:
-                child_tag = tag + ".c"
-                child = sched.spawn(
-                    lambda: interpret(child_tag, op[1]), name=child_tag
-                )
-                try:
-                    sched.join(child)
-                except ValueError as exc:
-                    log.append((tag, "child raised", str(exc)))
+                child = spawn(sched, f"{tag}.{step}", op[1], name == "spawn_daemon")
+                if name == "spawn_join":
+                    join(sched, tag, child)
+        return tag
 
-    threads = [
-        sched.spawn(lambda i=i, ops=ops: interpret(f"t{i}", ops), name=f"t{i}")
-        for i, ops in enumerate(program)
-    ]
-    try:
-        sched.run()
-        outcome = "ok"
-    except DeadlockError as exc:
-        outcome = str(exc)
-    finally:
-        log.extend((t.name, t.state.value, repr(t.failure)) for t in threads)
-        sched.shutdown()
-    return log, outcome, clock.now_ps
+    def drive_once(first_thread):
+        try:
+            if drive == "until":
+                result = scheds[0].run_until_done(first_thread)
+            elif drive == "world":
+                systems = [
+                    SimpleNamespace(
+                        label=f"m{index}",
+                        machine=SimpleNamespace(
+                            scheduler=sched, crashed=False, panic_reason=None
+                        ),
+                    )
+                    for index, sched in enumerate(scheds)
+                ]
+                from repro.cider.system import run_world
+
+                # The reference module carries the run_world of its commit.
+                result = getattr(mod, "run_world", run_world)(systems, first_thread)
+            else:
+                scheds[0].run()
+                result = None
+            return ("ok", result)
+        except (SimulationError, ValueError) as exc:
+            return (type(exc).__name__, str(exc))
+
+    def observe():
+        return [
+            (
+                sched.switches,
+                sched.anr_reports,
+                [t.name for t in sched.live_threads()],
+                sched.next_timer_deadline(),
+                sched.clock.now_ps,
+            )
+            for sched in scheds
+        ] + [
+            (t.name, t.state.value, t.result, repr(t.failure)) for t in threads
+        ]
+
+    outcomes = []
+    for _ in range(2):
+        first = None
+        for index, ops in enumerate(program):
+            thread = spawn(scheds[index % len(scheds)], f"t{index}", ops)
+            first = first or thread
+        outcomes.append((drive_once(first), observe()))
+        for sched in scheds:
+            sched.shutdown()
+        outcomes.append(observe())
+        for sched in scheds:
+            sched.reopen()
+    return log, outcomes, [policy.choices for policy in policies]
 
 
-@given(st.lists(st.lists(_thread_op, max_size=5), min_size=1, max_size=3))
+@given(_thread_program)
 @settings(max_examples=40, deadline=None)
 def test_thread_programs_replay_identically(program):
-    """Generated programs of yields, sleeps, blocks, wakeups, nested
-    spawn+join and raises run identically on two fresh schedulers, and
-    either finish or stop with a DeadlockError carrying a thread dump."""
+    """Generated programs of yields, sleeps, blocks with and without
+    deadlines, wakeups, kills, nested spawns and joins and raises run
+    identically on two fresh schedulers, and either finish or stop with a
+    DeadlockError carrying a thread dump."""
     first = _run_thread_program(program)
     assert _run_thread_program(program) == first
-    outcome = first[1]
-    assert outcome == "ok" or outcome.startswith(
-        "all threads blocked; thread dump:\n  sid="
-    )
+    for (outcome, _), _ in zip(first[1][::2], first[1][1::2]):
+        assert outcome == ("ok", None) or (
+            outcome[0] == "DeadlockError"
+            and outcome[1].startswith("all threads blocked; thread dump:\n  sid=")
+        )
+
+
+@given(
+    _thread_program,
+    _watchdog,
+    st.integers(min_value=0, max_value=3),
+)
+@settings(max_examples=150, deadline=None)
+# A peer's wakeup must beat a local timer under run_world.
+@example([[("sleep", 100), ("wake_one", 0)], [("block", 0)]], None, 0)
+# Expiry kills the earliest-blocked thread first.
+@example([[("block", 0)], [("sleep", 100), ("block", 1)]], (500, True), 0)
+# A report-only ANR for a thread still blocked when the run deadlocks.
+@example([[("block", 0)], [("sleep", 1000)]], (500, False), 0)
+# Shutdown does not wake the joiners of the threads it kills.
+@example([[("block", 0)], [("join", 0)]], None, 0)
+# A policy sees only choice points with several candidates.
+@example([[("yield",), ("sleep", 5)], [("yield",)]], None, 1)
+def test_scheduler_matches_reference(program, watchdog, seed):
+    """The scheduler behaves exactly like the reference copy kept in
+    ``tests/reference_scheduler.py`` (the one before its drive loops were
+    folded into one) under every way of driving it, with a recording HB
+    monitor and hooks installed and the watchdog off, reporting or
+    killing: same events at the same clock ps, same outcomes and error
+    messages, switch counts, ANR reports, hook calls, policy choices and
+    final thread states."""
+    import reference_scheduler
+    from repro.sim import scheduler
+
+    for drive in DRIVES:
+        expected = _run_thread_program(
+            program, reference_scheduler, drive, watchdog, seed, hb=True
+        )
+        actual = _run_thread_program(program, scheduler, drive, watchdog, seed, hb=True)
+        assert actual == expected, drive
