@@ -234,54 +234,43 @@ def run_world(systems: List["System"], thread) -> object:
     machine has nothing runnable — correct for one machine, wrong for a
     world where the client legitimately idles while the origin machine
     serves its request.  This driver drains each machine's ready work in
-    turn (cross-machine wakeups land directly on the peer scheduler's
-    ready queue); only when *no* machine can run does it fire the timer
-    with the least remaining virtual time, machine order breaking ties —
-    fully deterministic.
+    turn with ``Scheduler.run_ready`` (cross-machine wakeups land
+    directly on the peer scheduler's ready queue).  A drain fires no
+    timer, not even when a dispatch on that machine finds nothing
+    ready: a deadline (SO_RCVTIMEO, a backoff sleep) must only expire
+    once *every* machine is blocked, because the packet that would beat
+    it may still be queued on a peer.  Only when *no* machine can run
+    does it fire the timer with the least remaining virtual time,
+    machine order breaking ties — fully deterministic.
     """
     from ..sim.errors import DeadlockError, MachinePanic
 
     machines = [system.machine for system in systems]
-    # While the world owns the machines, no scheduler may jump its own
-    # clock to a local timer on dispatch: a deadline (SO_RCVTIMEO, a
-    # backoff sleep) must only expire once *every* machine is blocked —
-    # the packet that would beat it may still be queued on a peer.
-    for machine in machines:
-        machine.scheduler.world_driven = True
-    try:
-        while thread.alive:
-            progress = False
-            for machine in machines:
-                if machine.scheduler.run_ready():
-                    progress = True
-            if progress or not thread.alive:
-                continue
-            for machine in machines:
-                if machine.crashed:
-                    raise MachinePanic(
-                        machine.panic_reason or "machine panic"
-                    )
-            nearest = None
-            for machine in machines:
-                remaining = machine.scheduler.next_timer_deadline()
-                if remaining is None:
-                    continue
-                if nearest is None or remaining < nearest[0]:
-                    nearest = (remaining, machine)
-            if nearest is None:
-                dumps = "\n\n".join(
-                    f"== {system.label} ==\n"
-                    + system.machine.scheduler.thread_dump()
-                    for system in systems
-                )
-                raise DeadlockError(
-                    "every machine in the world is blocked; thread dumps:\n"
-                    + dumps
-                )
-            nearest[1].scheduler.fire_next_timer()
-    finally:
+    while thread.alive:
+        # A list, not a generator: every machine drains on every round.
+        if any([machine.scheduler.run_ready() for machine in machines]):
+            continue
         for machine in machines:
-            machine.scheduler.world_driven = False
+            if machine.crashed:
+                raise MachinePanic(machine.panic_reason or "machine panic")
+        nearest = None
+        for machine in machines:
+            remaining = machine.scheduler.next_timer_deadline()
+            if remaining is None:
+                continue
+            if nearest is None or remaining < nearest[0]:
+                nearest = (remaining, machine)
+        if nearest is None:
+            dumps = "\n\n".join(
+                f"== {system.label} ==\n"
+                + system.machine.scheduler.thread_dump()
+                for system in systems
+            )
+            raise DeadlockError(
+                "every machine in the world is blocked; thread dumps:\n"
+                + dumps
+            )
+        nearest[1].scheduler.fire_next_timer()
     if thread.failure is not None:
         raise thread.failure
     return thread.result

@@ -14,11 +14,29 @@ Every participant (each :class:`SimThread` plus the controller) owns a
 *gate*: a raw ``_thread`` lock used as a binary semaphore, held while its
 owner has no token.  The token holder hands off by releasing the target's
 gate and then acquiring its own, which blocks until the token comes back.
-A thread that exits hands the token off without waiting.  The scheduler's
-dispatch routine picks the next READY thread in strict FIFO order; if none
-is ready but timers are pending it fast-forwards the clock; otherwise the
-token returns to the controller, which decides whether the run is complete
-or deadlocked.
+A thread that exits hands the token off without waiting.  One pick
+chooses every next holder: the next READY thread in strict FIFO order (or
+a policy's choice); if none is ready but timers are pending it
+fast-forwards the clock to the earliest and picks its waiter; otherwise
+the token returns to the controller, which decides whether the run is
+complete or deadlocked.
+
+The drive loop
+--------------
+
+:meth:`Scheduler.run`, :meth:`~Scheduler.run_until_done` and
+:meth:`~Scheduler.run_ready` are one controller loop with three stop
+conditions.  Each pass drops finished threads, lets an armed watchdog
+strike, and hands the token to the pick until it comes back.
+``run_until_done`` stops when its thread finishes; ``run`` when nothing
+can run and every non-daemon thread has finished; ``run_ready`` when the
+ready queue drains.  ``run_ready`` drives *drain-only*: for its duration
+no pick fires a timer, so a machine in a multi-machine world never jumps
+its own clock past a peer that may still hold the wakeup.  Otherwise,
+when nothing can run, a kill-mode watchdog expires the longest-blocked
+thread, or the loop raises :class:`DeadlockError`.  The loop runs only
+on the controller: a simulated thread that tries to drive its own
+scheduler gets :class:`SchedulerError`.
 
 SimThread bodies run on reusable OS worker threads kept on one
 process-wide idle list.  :meth:`Scheduler.spawn` binds an idle worker,
@@ -39,7 +57,7 @@ import os
 import threading
 from collections import deque
 from enum import Enum
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .clock import VirtualClock
 from .errors import DeadlockError, SchedulerError, ThreadKilled
@@ -53,6 +71,10 @@ class ThreadState(Enum):
     SLEEPING = "sleeping"
     DONE = "done"
     KILLED = "killed"
+
+
+#: The states a wakeup or a timer can end.
+_WAITING = (ThreadState.BLOCKED, ThreadState.SLEEPING)
 
 
 def _held_gate() -> "_thread.LockType":
@@ -139,11 +161,8 @@ class _Timer:
         self.cancelled = False
         self.fired = False
 
-    def sort_key(self):
-        return (self.deadline_ns, self.seq)
-
     def __lt__(self, other: "_Timer") -> bool:
-        return self.sort_key() < other.sort_key()
+        return (self.deadline_ns, self.seq) < (other.deadline_ns, other.seq)
 
 
 class SimThread(_TokenHolder):
@@ -295,11 +314,16 @@ class Scheduler:
         self._controller = _TokenHolder("controller", _held_gate())
         self._current: _TokenHolder = self._controller
         self._shutdown = False
-        # -- watchdog state (virtual-time ANR detection) -------------------
-        #: Budget in ns a thread may stay blocked before being flagged.
-        self._watchdog_budget_ns: Optional[float] = None
-        #: Deliver a kill to over-budget threads (else: report only).
-        self._watchdog_kill = False
+        #: True for the duration of a drain-only drive (:meth:`run_ready`):
+        #: no pick fires a local timer, so a machine in a world never
+        #: expires a deadline (e.g. SO_RCVTIMEO) while a peer machine
+        #: still holds the wakeup; the world driver fires the globally
+        #: nearest timer only when *every* machine is blocked.
+        self._draining = False
+        #: The armed virtual-time watchdog as ``(budget_ns, kill)``, or
+        #: None: a thread blocked for ``budget_ns`` is reported ANR-style
+        #: and, with ``kill``, killed.
+        self._watchdog: Optional[Tuple[float, bool]] = None
         #: ANR-style reports produced by the watchdog, in order.
         self.anr_reports: List[Dict[str, object]] = []
         #: Optional hook ``fn(category, name, **detail)`` — wired to
@@ -324,14 +348,6 @@ class Scheduler:
         #: Happens-before monitor (repro.sim.explore.HBMonitor).  None on
         #: the fast path — spawn and wakeup pay one boolean test each.
         self.hb: Optional[object] = None
-        #: True while an outer world driver (``run_world``) owns timer
-        #: firing.  A lone machine may jump its own clock to the next
-        #: timer the moment its ready queue drains; in a world that
-        #: would expire deadlines (e.g. SO_RCVTIMEO) while a peer
-        #: machine still holds the wakeup — so dispatch defers to the
-        #: driver, which fires the globally nearest timer only when
-        #: *every* machine is blocked.
-        self.world_driven = False
 
     # -- public API --------------------------------------------------------
 
@@ -398,17 +414,7 @@ class Scheduler:
         Returns True if woken through the wait queue before the deadline,
         False if the deadline fired first.
         """
-        me = self.current_thread()
-        me.state = ThreadState.BLOCKED
-        me.wait_channel = waitq
-        waitq._add(me)
-        timer = self._arm_timer(me, timeout_ns)
-        self._dispatch(me)
-        me.state = ThreadState.RUNNING
-        me.wait_channel = None
-        timer.cancelled = True
-        waitq._discard(me)
-        return not timer.fired
+        return self._block((waitq,), timeout_ns)
 
     def block_on_any(
         self,
@@ -420,23 +426,7 @@ class Scheduler:
         Returns True if woken through any of the queues, False on timeout.
         With ``timeout_ns=None`` it blocks until woken.
         """
-        me = self.current_thread()
-        me.state = ThreadState.BLOCKED
-        me.wait_channel = waitqs[0] if waitqs else None
-        for waitq in waitqs:
-            waitq._add(me)
-        timer = None
-        if timeout_ns is not None:
-            timer = self._arm_timer(me, timeout_ns)
-        self._dispatch(me)
-        me.state = ThreadState.RUNNING
-        me.wait_channel = None
-        for waitq in waitqs:
-            waitq._discard(me)
-        if timer is None:
-            return True
-        timer.cancelled = True
-        return not timer.fired
+        return self._block(waitqs, timeout_ns)
 
     def sleep(self, duration_ns: float) -> None:
         """Sleep the current thread for ``duration_ns`` of virtual time."""
@@ -462,38 +452,11 @@ class Scheduler:
         ``kill=True``, in which case the longest-blocked thread is killed
         (after an ANR report) and the run continues.
         """
-        if self._current is not self._controller:
-            raise SchedulerError("run() called re-entrantly")
-        while True:
-            self._reap()
-            if self._watchdog_budget_ns is not None:
-                self._watchdog_scan()
-            if not self._ready and not self._fire_due_timers():
-                pending = [t for t in self._threads if t.alive and not t.daemon]
-                if not pending:
-                    return
-                if self._watchdog_expire(pending):
-                    continue
-                raise DeadlockError(
-                    "all threads blocked; thread dump:\n"
-                    + self.thread_dump()
-                )
-            self._handoff_from_controller()
+        self._drive()
 
     def run_until_done(self, thread: SimThread) -> object:
         """Run the simulation until ``thread`` completes; return its result."""
-        while thread.alive:
-            self._reap()
-            if self._watchdog_budget_ns is not None:
-                self._watchdog_scan()
-            if not self._ready and not self._fire_due_timers():
-                if self._watchdog_expire([thread] if thread.alive else []):
-                    continue
-                raise DeadlockError(
-                    f"waiting on {thread!r} but nothing can run; "
-                    "thread dump:\n" + self.thread_dump()
-                )
-            self._handoff_from_controller()
+        self._drive(until=thread)
         if thread.failure is not None:
             raise thread.failure
         return thread.result
@@ -509,37 +472,37 @@ class Scheduler:
 
     def run_ready(self) -> bool:
         """Drain the ready queue (and whatever it cascades into) without
-        firing controller-level timers or declaring deadlock.  Returns
-        True if anything ran."""
-        if self._current is not self._controller:
-            raise SchedulerError("run_ready() called re-entrantly")
-        progress = False
-        while True:
-            self._reap()
-            if self._watchdog_budget_ns is not None:
-                self._watchdog_scan()
-            if not self._ready:
-                return progress
-            progress = True
-            self._handoff_from_controller()
+        firing timers or declaring deadlock.  Returns True if anything
+        ran."""
+        return self._drive(drain=True)
 
     def next_timer_deadline(self) -> Optional[float]:
         """Remaining virtual ns until the earliest live timer (may be
         negative if overdue), or None if no timer could ever fire."""
         for timer in sorted(self._timers):
-            thread = timer.thread
-            if timer.cancelled or not thread.alive:
-                continue
-            if thread.state not in (ThreadState.BLOCKED, ThreadState.SLEEPING):
-                continue
-            return timer.deadline_ns - self.clock.now_ns
+            if not timer.cancelled and timer.thread.state in _WAITING:
+                return timer.deadline_ns - self.clock.now_ns
         return None
 
     def fire_next_timer(self) -> bool:
-        """Jump this machine's clock to its earliest live timer and wake
-        the waiter — the world driver calls this on exactly one machine
-        when every machine is blocked."""
-        return self._fire_due_timers()
+        """Jump this machine's clock to its earliest live timer and make
+        the waiter READY; False if no timer can fire.  The pick does this
+        whenever nothing is ready, except in a drain-only drive; the
+        world driver calls it on exactly one machine when every machine
+        is blocked."""
+        while self._timers:
+            timer = heapq.heappop(self._timers)
+            thread = timer.thread
+            if timer.cancelled or thread.state not in _WAITING:
+                continue
+            self.clock.jump_to(max(timer.deadline_ns, self.clock.now_ns))
+            if thread.wait_channel is not None:
+                thread.wait_channel._discard(thread)
+            timer.fired = True
+            thread.state = ThreadState.READY
+            self._ready.append(thread)
+            return True
+        return False
 
     # -- watchdog ----------------------------------------------------------
 
@@ -550,84 +513,75 @@ class Scheduler:
         failures of a single thread."""
         if budget_ns <= 0:
             raise SchedulerError("watchdog budget must be positive")
-        self._watchdog_budget_ns = budget_ns
-        self._watchdog_kill = kill
+        self._watchdog = (budget_ns, kill)
 
-    def clear_watchdog(self) -> None:
-        self._watchdog_budget_ns = None
-        self._watchdog_kill = False
+    def _watchdog_scan(self, budget_ns: float, kill: bool) -> None:
+        """Strike every app thread already past its budget at the current
+        virtual time.  Daemons (system services) legitimately block
+        forever waiting for requests, so the watchdog skips them."""
+        now = self.clock.now_ns
+        for victim in [
+            t
+            for t in self._threads
+            if t.state is ThreadState.BLOCKED
+            and not (t.daemon or t.anr_flagged or t.blocked_since_ns is None)
+            and now - t.blocked_since_ns >= budget_ns
+        ]:
+            self._strike(victim, kill)
 
-    def _over_budget(self, now: float) -> List[SimThread]:
-        budget = self._watchdog_budget_ns
-        victims = []
-        for t in self._threads:
-            if t.daemon:
-                # System services legitimately block forever waiting for
-                # requests; the watchdog polices app threads only.
-                continue
-            if not t.alive or t.state is not ThreadState.BLOCKED:
-                continue
-            if t.blocked_since_ns is None or t.anr_flagged:
-                continue
-            if now - t.blocked_since_ns >= budget:  # type: ignore[operator]
-                victims.append(t)
-        return victims
-
-    def _report_anr(self, victim: SimThread, killed: bool) -> None:
-        victim.anr_flagged = True
-        report = {
-            "thread": victim.name,
-            "sid": victim.sid,
-            "blocked_on": repr(victim.wait_channel),
-            "blocked_since_ns": victim.blocked_since_ns,
-            "blocked_for_ns": self.clock.now_ns - (victim.blocked_since_ns or 0.0),
-            "killed": killed,
-            "dump": self.thread_dump(),
-        }
-        self.anr_reports.append(report)
-        if self.trace_hook is not None:
-            self.trace_hook(
-                "watchdog",
-                "anr",
-                thread=victim.name,
-                blocked_on=repr(victim.wait_channel),
-                blocked_for_ns=report["blocked_for_ns"],
-                killed=killed,
-            )
-
-    def _watchdog_scan(self) -> None:
-        """Report (and optionally kill) threads already past their budget
-        at the current virtual time.  Runs only while a watchdog is armed."""
-        for victim in self._over_budget(self.clock.now_ns):
-            self._report_anr(victim, killed=self._watchdog_kill)
-            if self._watchdog_kill:
-                if self.on_watchdog_kill is not None:
-                    self.on_watchdog_kill(victim)
-                self.kill_thread(victim)
-
-    def _watchdog_expire(self, pending: List[SimThread]) -> bool:
+    def _watchdog_expire(
+        self, pending: List[SimThread], watchdog: Optional[Tuple[float, bool]]
+    ) -> bool:
         """Nothing can run and no timer is pending: if a kill-mode
         watchdog is armed, fast-forward virtual time to the earliest
-        budget expiry, kill that thread, and report progress."""
-        if self._watchdog_budget_ns is None or not self._watchdog_kill:
+        budget expiry among the blocked ``pending`` threads, kill that
+        thread and report progress."""
+        if watchdog is None or not watchdog[1]:
             return False
         blocked = [
             t
             for t in pending
-            if t.alive
-            and t.state is ThreadState.BLOCKED
+            if t.state is ThreadState.BLOCKED
             and t.blocked_since_ns is not None
         ]
         if not blocked:
             return False
         victim = min(blocked, key=lambda t: (t.blocked_since_ns, t.sid))
-        deadline = victim.blocked_since_ns + self._watchdog_budget_ns  # type: ignore[operator]
+        deadline = victim.blocked_since_ns + watchdog[0]  # type: ignore
         self.clock.jump_to(max(deadline, self.clock.now_ns))
-        self._report_anr(victim, killed=True)
-        if self.on_watchdog_kill is not None:
-            self.on_watchdog_kill(victim)
-        self.kill_thread(victim)
+        self._strike(victim, kill=True)
         return True
+
+    def _strike(self, victim: SimThread, kill: bool) -> None:
+        """The watchdog's one step: report ``victim`` ANR-style and, with
+        ``kill``, tell the kernel (``on_watchdog_kill``) and kill it."""
+        victim.anr_flagged = True
+        blocked_on = repr(victim.wait_channel)
+        blocked_for = self.clock.now_ns - (victim.blocked_since_ns or 0.0)
+        self.anr_reports.append(
+            {
+                "thread": victim.name,
+                "sid": victim.sid,
+                "blocked_on": blocked_on,
+                "blocked_since_ns": victim.blocked_since_ns,
+                "blocked_for_ns": blocked_for,
+                "killed": kill,
+                "dump": self.thread_dump(),
+            }
+        )
+        if self.trace_hook is not None:
+            self.trace_hook(
+                "watchdog",
+                "anr",
+                thread=victim.name,
+                blocked_on=blocked_on,
+                blocked_for_ns=blocked_for,
+                killed=kill,
+            )
+        if kill:
+            if self.on_watchdog_kill is not None:
+                self.on_watchdog_kill(victim)
+            self.kill_thread(victim)
 
     # -- diagnostics -------------------------------------------------------
 
@@ -659,7 +613,7 @@ class Scheduler:
         if not victim.alive:
             return
         victim._killed = True
-        if victim.state in (ThreadState.BLOCKED, ThreadState.SLEEPING):
+        if victim.state in _WAITING:
             if victim.wait_channel is not None:
                 victim.wait_channel._discard(victim)
             victim.state = ThreadState.READY
@@ -681,7 +635,7 @@ class Scheduler:
             self._current = thread
             thread._wake()
             self._controller._wait_for_token()
-        self._threads = [t for t in self._threads if t.alive]
+        self._reap()
         self._ready.clear()
         self._timers.clear()
 
@@ -699,6 +653,25 @@ class Scheduler:
 
     # -- internals ---------------------------------------------------------
 
+    def _block(self, waitqs, timeout_ns: Optional[float]) -> bool:
+        """Park on ``waitqs`` (the first is the wait channel) until woken
+        through one of them or, with a timeout, until it fires."""
+        me = self.current_thread()
+        me.state = ThreadState.BLOCKED
+        me.wait_channel = waitqs[0] if waitqs else None
+        for waitq in waitqs:
+            waitq._add(me)
+        timer = None if timeout_ns is None else self._arm_timer(me, timeout_ns)
+        self._dispatch(me)
+        me.state = ThreadState.RUNNING
+        me.wait_channel = None
+        for waitq in waitqs:
+            waitq._discard(me)
+        if timer is None:
+            return True
+        timer.cancelled = True
+        return not timer.fired
+
     def _arm_timer(self, thread: SimThread, delay_ns: float) -> _Timer:
         self._timer_seq += 1
         timer = _Timer(self.clock.now_ns + delay_ns, self._timer_seq, thread)
@@ -706,7 +679,7 @@ class Scheduler:
         return timer
 
     def _make_ready(self, thread: SimThread) -> bool:
-        if thread.state in (ThreadState.BLOCKED, ThreadState.SLEEPING):
+        if thread.state in _WAITING:
             thread.state = ThreadState.READY
             self._ready.append(thread)
             if self.hb is not None:
@@ -717,85 +690,91 @@ class Scheduler:
     def _reap(self) -> None:
         self._threads = [t for t in self._threads if t.alive]
 
-    def _fire_due_timers(self) -> bool:
-        """Called only with an empty ready queue: jump virtual time to the
-        next live timer and wake its thread.  Returns True if a thread
-        became ready."""
-        while self._timers:
-            timer = heapq.heappop(self._timers)
-            thread = timer.thread
-            if timer.cancelled or not thread.alive:
-                continue
-            if thread.state not in (ThreadState.BLOCKED, ThreadState.SLEEPING):
-                continue
-            self.clock.jump_to(max(timer.deadline_ns, self.clock.now_ns))
-            if thread.wait_channel is not None:
-                thread.wait_channel._discard(thread)
-            timer.fired = True
-            thread.state = ThreadState.READY
-            self._ready.append(thread)
-            return True
-        return False
+    def _drive(self, until: Optional[SimThread] = None, drain=False) -> bool:
+        """The controller's one loop (see the module docstring).  Each
+        pass reaps finished threads, lets an armed watchdog strike and
+        hands the token to the next pick until it comes back.  Stops when
+        ``until`` finishes; with ``drain``, when nothing is ready; else
+        when nothing can run and no non-daemon thread is left.  Returns
+        True if any thread ran."""
+        if self._current is not self._controller:
+            raise SchedulerError("scheduler driven from a simulated thread")
+        self._draining = drain
+        ran = False
+        try:
+            while until is None or until.alive:
+                self._reap()
+                watchdog = self._watchdog
+                if watchdog is not None:
+                    self._watchdog_scan(*watchdog)
+                target = self._pick()
+                if target is not None:
+                    ran = True
+                    self.switches += 1
+                    self._current = target
+                    target._wake()
+                    self._controller._wait_for_token()
+                    continue
+                if drain:
+                    break
+                if until is None:
+                    pending = [t for t in self.live_threads() if not t.daemon]
+                    if not pending:
+                        break
+                    what = "all threads blocked"
+                else:
+                    pending = [until]
+                    what = f"waiting on {until!r} but nothing can run"
+                if not self._watchdog_expire(pending, watchdog):
+                    raise DeadlockError(
+                        f"{what}; thread dump:\n" + self.thread_dump()
+                    )
+        finally:
+            self._draining = False
+        return ran
 
-    def _pick_next(self) -> Optional[SimThread]:
-        if self._policy is not None:
-            return self._pick_next_policy()
-        while self._ready:
-            thread = self._ready.popleft()
-            if thread.alive and thread.state is ThreadState.READY:
-                return thread
+    def _pick(self) -> Optional[SimThread]:
+        """Take the thread to hand the token to next: the FIFO head of
+        the ready queue, or the policy's choice where more than one
+        thread is READY; failing that, unless the drive is drain-only,
+        the waiter of the earliest live timer, the clock jumped to its
+        deadline.  None if nothing can run."""
+        ready = self._ready
+        if self._policy is None:
+            while ready:
+                thread = ready.popleft()
+                if thread.state is ThreadState.READY:
+                    return thread
+        else:
+            candidates = [t for t in ready if t.state is ThreadState.READY]
+            chosen = candidates[0] if candidates else None
+            # A sole candidate consumes no choice point, so a policy run
+            # over a single-threaded phase records an empty trace: FIFO.
+            if len(candidates) > 1:
+                self._choice_seq += 1
+                names = tuple(t.name for t in candidates)
+                index = self._policy.choose(self._choice_seq, names)
+                if 0 <= index < len(candidates):
+                    chosen = candidates[index]
+            ready.clear()
+            if chosen is not None:
+                ready.extend(t for t in candidates if t is not chosen)
+                return chosen
+        if not self._draining and self.fire_next_timer():
+            return ready.popleft()
         return None
-
-    def _pick_next_policy(self) -> Optional[SimThread]:
-        """Policy-steered pick: the policy sees every choice point where
-        more than one thread could run and selects by index into the
-        FIFO-ordered candidate list.  A sole candidate is returned
-        without consuming a choice point, so a policy run over a
-        single-threaded phase records an empty trace — exactly FIFO."""
-        candidates = [
-            t for t in self._ready
-            if t.alive and t.state is ThreadState.READY
-        ]
-        if not candidates:
-            self._ready.clear()
-            return None
-        if len(candidates) == 1:
-            self._ready.clear()
-            return candidates[0]
-        names = tuple(t.name for t in candidates)
-        self._choice_seq += 1
-        index = self._policy.choose(self._choice_seq, names)
-        if not 0 <= index < len(candidates):
-            index = 0
-        chosen = candidates[index]
-        self._ready = deque(t for t in candidates if t is not chosen)
-        return chosen
 
     def _dispatch(self, from_thread: SimThread) -> None:
         """Give up the token; regain it when rescheduled."""
         from_thread.blocked_since_ns = self.clock.now_ns
-        target = self._pick_next()
-        if target is None and not self.world_driven and self._fire_due_timers():
-            target = self._pick_next()
-        if target is from_thread:
-            from_thread.blocked_since_ns = None
-            from_thread.last_ran_ns = self.clock.now_ns
-            return  # sole runnable thread: keep running
-        self.switches += 1
-        self._current = target if target is not None else self._controller
-        self._current._wake()
-        from_thread._wait_for_token()
+        target = self._pick() or self._controller
+        if target is not from_thread:  # else the sole runnable thread
+            self.switches += 1
+            self._current = target
+            target._wake()
+            from_thread._wait_for_token()
         from_thread.blocked_since_ns = None
         from_thread.last_ran_ns = self.clock.now_ns
-
-    def _handoff_from_controller(self) -> None:
-        target = self._pick_next()
-        if target is None:
-            return
-        self.switches += 1
-        self._current = target
-        target._wake()
-        self._controller._wait_for_token()
 
     def _on_thread_exit(self, thread: SimThread) -> None:
         """Final act of a dying thread: free its worker, then pass the
@@ -805,15 +784,11 @@ class Scheduler:
         thread._gate = thread._worker = None
         worker.task = None
         _idle_workers.append(worker)
-        if self._shutdown:
-            self._current = self._controller
-            self._controller._wake()
-            return
-        thread._joiners.wake_all()
-        target = self._pick_next()
-        if target is None and not self.world_driven and self._fire_due_timers():
-            target = self._pick_next()
-        self._current = target if target is not None else self._controller
+        target = None
+        if not self._shutdown:
+            thread._joiners.wake_all()
+            target = self._pick()
+        self._current = target or self._controller
         self._current._wake()
 
     # -- introspection -----------------------------------------------------

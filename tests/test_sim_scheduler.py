@@ -14,6 +14,7 @@ import repro
 from repro.sim import (
     DeadlockError,
     Scheduler,
+    SchedulerError,
     ThreadState,
     VirtualClock,
     WaitQueue,
@@ -270,6 +271,29 @@ def test_nested_spawn_from_sim_thread(sched):
     sched.spawn(parent, name="parent")
     sched.run()
     assert log == ["parent", "child", "joined"]
+
+
+@pytest.mark.parametrize("drive", ["run", "run_until_done", "run_ready"])
+def test_driving_from_a_sim_thread_raises(sched, drive):
+    # Only the controller drives.  A simulated thread that tried would
+    # leave two OS threads waiting on the controller's gate, and which
+    # one the token reached next would be up to the host.
+    runs = []
+    errors = []
+
+    def parent():
+        child = sched.spawn(lambda: runs.append("child"), name="child")
+        args = (child,) if drive == "run_until_done" else ()
+        try:
+            getattr(sched, drive)(*args)
+        except SchedulerError as exc:
+            errors.append(exc)
+
+    sched.spawn(parent, name="parent")
+    sched.run()
+    assert len(errors) == 1
+    assert runs == ["child"]
+    assert list(sched.live_threads()) == []
 
 
 def test_sids_number_threads_per_scheduler():
