@@ -28,7 +28,12 @@ _NOT_CODE = {
     tokenize.ENCODING,
     tokenize.ENDMARKER,
 }
-_HAS_DOCSTRING = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+_HAS_DOCSTRING = (
+    ast.Module,
+    ast.ClassDef,
+    ast.FunctionDef,
+    ast.AsyncFunctionDef,
+)
 
 
 def docstring_lines(tree: ast.AST) -> set:

@@ -830,7 +830,7 @@ class Scheduler:
         return [t for t in self._threads if t.alive]
 
 
-# -- repro.cider.system.run_world, verbatim -------------------------------------
+# -- repro.cider.system.run_world, verbatim ------------------------------------
 
 
 def run_world(systems: List["System"], thread) -> object:

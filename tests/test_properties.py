@@ -1026,7 +1026,9 @@ _thread_program = st.lists(
 #: under a ``SeededRandomPolicy``.
 DRIVES = ("run", "until", "world", "policy")
 #: None, or ``set_watchdog``'s (budget ns, kill) arguments.
-_watchdog = st.none() | st.tuples(st.integers(min_value=1, max_value=1500), st.booleans())
+_watchdog = st.none() | st.tuples(
+    st.integers(min_value=1, max_value=1500), st.booleans()
+)
 
 
 class _RecordingHB:
@@ -1058,17 +1060,18 @@ def _run_thread_program(
 
     if mod is None:
         from repro.sim import scheduler as mod
-    scheds = [mod.Scheduler(VirtualClock()) for _ in range(2 if drive == "world" else 1)]
+    machines = 2 if drive == "world" else 1
+    scheds = [mod.Scheduler(VirtualClock()) for _ in range(machines)]
     queues = [mod.WaitQueue("q0"), mod.WaitQueue("q1")]
     threads = []
     log = []
     for index, sched in enumerate(scheds):
         if hb:
             sched.hb = _RecordingHB(sched, log)
-        sched.trace_hook = lambda category, name, m=index, **detail: log.append(
-            (m, category, name, sorted(detail.items()))
+        sched.trace_hook = lambda category, name, m=index, **detail: (
+            log.append((m, category, name, sorted(detail.items())))
         )
-        sched.on_watchdog_kill = lambda victim: log.append(("kill", victim.name))
+        sched.on_watchdog_kill = lambda t: log.append(("kill", t.name))
         if watchdog is not None:
             sched.set_watchdog(*watchdog)
     policies = []
@@ -1112,15 +1115,16 @@ def _run_thread_program(
                 victim._scheduler.kill_thread(victim)
             elif name == "join":
                 target = threads[op[1] % len(threads)]
-                if target._scheduler is not sched or target is sched.current_thread():
-                    continue
-                join(sched, tag, target)
+                mine = target._scheduler is sched
+                if mine and target is not sched.current_thread():
+                    join(sched, tag, target)
             elif name == "charge":
                 clock.charge(op[1])
             elif name == "raise":
                 raise ValueError(tag)
             else:
-                child = spawn(sched, f"{tag}.{step}", op[1], name == "spawn_daemon")
+                daemon = name == "spawn_daemon"
+                child = spawn(sched, f"{tag}.{step}", op[1], daemon)
                 if name == "spawn_join":
                     join(sched, tag, child)
         return tag
@@ -1142,7 +1146,8 @@ def _run_thread_program(
                 from repro.cider.system import run_world
 
                 # The reference module carries the run_world of its commit.
-                result = getattr(mod, "run_world", run_world)(systems, first_thread)
+                run_world = getattr(mod, "run_world", run_world)
+                result = run_world(systems, first_thread)
             else:
                 scheds[0].run()
                 result = None
@@ -1188,10 +1193,12 @@ def test_thread_programs_replay_identically(program):
     DeadlockError carrying a thread dump."""
     first = _run_thread_program(program)
     assert _run_thread_program(program) == first
-    for (outcome, _), _ in zip(first[1][::2], first[1][1::2]):
+    for outcome, _ in first[1][::2]:
         assert outcome == ("ok", None) or (
             outcome[0] == "DeadlockError"
-            and outcome[1].startswith("all threads blocked; thread dump:\n  sid=")
+            and outcome[1].startswith(
+                "all threads blocked; thread dump:\n  sid="
+            )
         )
 
 
@@ -1226,5 +1233,7 @@ def test_scheduler_matches_reference(program, watchdog, seed):
         expected = _run_thread_program(
             program, reference_scheduler, drive, watchdog, seed, hb=True
         )
-        actual = _run_thread_program(program, scheduler, drive, watchdog, seed, hb=True)
+        actual = _run_thread_program(
+            program, scheduler, drive, watchdog, seed, hb=True
+        )
         assert actual == expected, drive
