@@ -6,6 +6,8 @@ import sys
 from functools import partial
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.binfmt import Arch, BinaryFormat, macho_dylib, macho_executable
@@ -19,6 +21,7 @@ from repro.ios.frameworks import (
 from repro.kernel import errno as E
 from repro.kernel.errno import SyscallError
 from repro.sim import ResourceEnvelope
+from repro.sim.faults import FaultOutcome, FaultPlan
 from repro.sim.snapshot import snapshot_systems
 
 from helpers import run_macho
@@ -247,9 +250,9 @@ def _probe_loads(system):
 
 def _exec_hello(system, as_limit=None):
     """Exec ``/bin/hello-ios``; its exit code, or the errno it failed with."""
-    process = system.kernel.start_process("/bin/hello-ios")
-    process.address_space.as_limit_bytes = as_limit
     try:
+        process = system.kernel.start_process("/bin/hello-ios")
+        process.address_space.as_limit_bytes = as_limit
         return system.wait_for(process)
     except SyscallError as err:
         return ("errno", err.errno)
@@ -414,6 +417,116 @@ def test_snapshot_clones_validate_the_plan_against_their_own_vfs():
     finally:
         for clone in clones:
             clone.shutdown()
+
+
+# -- walk plans under fault plans: a replay is the cold walk ------------------------
+
+#: What generated fault plans aim at: the two points a replay crosses only
+#: by counting them, the two it crosses through ``map_vma``, points a
+#: hello-world exec crosses outside dyld or never, and a glob matching all.
+FAULT_POINTS = (
+    "dyld.load",
+    "vfs.lookup",
+    "mm.map",
+    "mm.reserve",
+    "net.*",
+    "syscall.enter",
+    "*",
+)
+
+#: One rule: (point, (kind, value), nth, max_fires, window), the window
+#: as (start, length) in ns after the exec starts.
+_fault_rule = st.tuples(
+    st.sampled_from(FAULT_POINTS),
+    st.one_of(
+        st.tuples(st.just("errno"), st.sampled_from((E.EIO, E.ENOENT, E.ENOMEM))),
+        st.tuples(st.just("delay"), st.integers(0, 200_000)),
+    ),
+    st.one_of(st.none(), st.integers(1, 130)),
+    st.one_of(st.none(), st.integers(1, 3)),
+    st.one_of(
+        st.none(),
+        st.tuples(st.integers(0, 5_000_000), st.integers(0, 5_000_000)),
+    ),
+)
+
+
+def _fault_plan(specs, base_ns):
+    plan = FaultPlan(seed=0)
+    for index, (point, (kind, value), nth, max_fires, window) in enumerate(specs):
+        if window is not None:
+            start, length = window
+            window = (base_ns + start, base_ns + start + length)
+        plan.rule(
+            point,
+            FaultOutcome.errno(value) if kind == "errno" else FaultOutcome.delay(value),
+            rule_id=f"rule-{index}",
+            nth=nth,
+            max_fires=max_fires,
+            window_ns=window,
+        )
+    return plan
+
+
+def _forget_walks(dyld):
+    """Leave ``dyld`` nothing to replay: no plans and, where it keeps a
+    book of recordings, an empty one of its own (the book itself is
+    shared with every snapshot sibling)."""
+    dyld.plans.clear()
+    if hasattr(dyld, "book"):
+        dyld.book = type(dyld.book)()
+
+
+@pytest.fixture(scope="module")
+def hello_snapshot():
+    """A booted Cider system that has exec'd ``/bin/hello-ios`` once."""
+    system = build_cider(start_services=False)
+    assert system.run_program("/bin/hello-ios") == 0
+    snap = snapshot_systems(system)
+    system.shutdown()
+    return snap
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_fault_rule, max_size=3))
+@example([])
+@example([("dyld.load", ("errno", E.ENOENT), 3, None, None)])
+@example([("vfs.lookup", ("delay", 20_000), 60, 1, None)])
+@example([("mm.map", ("errno", E.ENOMEM), 40, None, None)])
+@example([("mm.reserve", ("delay", 30_000), None, 2, (0, 5_000_000))])
+@example([("net.*", ("errno", E.EIO), None, None, None)])
+def test_walk_under_a_fault_plan_equals_cold_walk(hello_snapshot, specs):
+    """Two clones exec ``/bin/hello-ios`` under one generated fault plan:
+    one holds the recorded walk, the other has nothing to replay and
+    walks cold.  Virtual time, the result, every load's state, the
+    plan's occurrence counts (in order), its events and each rule's
+    matches and fires must agree."""
+    outcomes = []
+    for forget in (False, True):
+        (system,) = hello_snapshot.clone()
+        try:
+            if forget:
+                _forget_walks(system.ios.dyld)
+            plan = system.machine.install_fault_plan(
+                _fault_plan(specs, system.machine.clock.now_ns)
+            )
+            loads = _probe_loads(system)
+            result = _exec_hello(system)
+            for load in loads:
+                load.pop("resolved")
+            outcomes.append(
+                (
+                    system.machine.clock.charged_ps,
+                    result,
+                    loads,
+                    list(plan.occurrences.items()),
+                    [event.format() for event in plan.events],
+                    [(rule.matches, rule.fires) for rule in plan.rules],
+                )
+            )
+        finally:
+            system.shutdown()
+    assert outcomes[0] == outcomes[1]
 
 
 def test_warm_start_transcript_matches_committed():
