@@ -13,13 +13,18 @@ where ``ctx`` is the :class:`repro.kernel.process.UserContext` of the
 calling thread.  This is the substitution for machine code: the functions
 charge virtual time for the work they model and may only interact with the
 system through the context (libc, syscalls, loaded libraries).
+
+An image is a value: it is complete when built and never written after,
+so every boot-snapshot clone (``repro.sim.snapshot``) and every dyld walk
+recording shares it by reference.  Interposition builds a new image and
+installs it in place of the old one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..hw.cpu import GCC_4_4_1, XCODE_4_2_1, CompilerProfile
 
@@ -62,6 +67,9 @@ class Segment:
 class Symbol:
     """One exported symbol of a binary image."""
 
+    #: Part of an image: boot-snapshot clones share it.
+    snapshot_shared = True
+
     def __init__(
         self,
         name: str,
@@ -82,7 +90,12 @@ class Symbol:
 
 
 class BinaryImage:
-    """A synthetic ELF or Mach-O file's parsed form."""
+    """A synthetic ELF or Mach-O file's parsed form: a value, never
+    written after it is built."""
+
+    #: Boot-snapshot clones share it, so its exports reach no per-system
+    #: state (checked at capture).
+    snapshot_shared = True
 
     def __init__(
         self,
@@ -102,9 +115,9 @@ class BinaryImage:
         self.format = format
         self.kind = kind
         self.arch = arch
-        self.segments: List[Segment] = list(segments or [])
+        self.segments: Tuple[Segment, ...] = tuple(segments or ())
         self.exports: Dict[str, Symbol] = dict(exports or {})
-        self.deps: List[str] = list(deps or [])
+        self.deps: Tuple[str, ...] = tuple(deps or ())
         self.entry_symbol = entry_symbol
         self.compiler = compiler or (
             GCC_4_4_1 if format is BinaryFormat.ELF else XCODE_4_2_1
@@ -113,16 +126,13 @@ class BinaryImage:
         #: and must be decrypted on a jailbroken device first (§6.1).
         self.encrypted = encrypted
         self.install_name = install_name or name
+        self.vm_size_bytes = sum(seg.size_bytes for seg in self.segments)
 
     # -- structural queries -------------------------------------------------
 
     @property
     def magic(self) -> bytes:
         return ELF_MAGIC if self.format is BinaryFormat.ELF else MACHO_MAGIC
-
-    @property
-    def vm_size_bytes(self) -> int:
-        return sum(seg.size_bytes for seg in self.segments)
 
     @property
     def vm_size_mb(self) -> float:
@@ -150,7 +160,15 @@ class BinaryImage:
 
     def decrypted_copy(self) -> "BinaryImage":
         """The image with its encrypted text segment decrypted."""
-        clone = BinaryImage(
+        return self._copy(encrypted=False)
+
+    def interposed(self, functions: Dict[str, Callable]) -> "BinaryImage":
+        """The image with ``functions`` exported in place of, or beside,
+        its own exports."""
+        return self._copy(exports={**self.exports, **_wrap_exports(functions)})
+
+    def _copy(self, **changes: object) -> "BinaryImage":
+        fields: Dict[str, object] = dict(
             name=self.name,
             format=self.format,
             kind=self.kind,
@@ -160,10 +178,11 @@ class BinaryImage:
             deps=self.deps,
             entry_symbol=self.entry_symbol,
             compiler=self.compiler,
-            encrypted=False,
+            encrypted=self.encrypted,
             install_name=self.install_name,
         )
-        return clone
+        fields.update(changes)
+        return BinaryImage(**fields)  # type: ignore[arg-type]
 
     def __repr__(self) -> str:
         return (

@@ -17,7 +17,6 @@ from typing import TYPE_CHECKING, Dict, Optional
 from .. import xnu as xnu_pkg
 from ..android.libs import install_android_graphics_libs
 from ..android.surfaceflinger import SurfaceFlinger
-from ..binfmt.image import Symbol
 from ..compat.macho_loader import MachOLoader
 from ..compat.signals import SignalTranslator
 from ..compat.xnu_abi import SYS_set_persona, XNUABI
@@ -120,9 +119,10 @@ def _interpose_graphics(kernel) -> "GenerationReport":
     iosurface_path = (
         "/System/Library/PrivateFrameworks/IOSurface.framework/IOSurface"
     )
-    iosurface_image = vfs.resolve(iosurface_path).binary_image
-    for name, fn in cider_iosurface_exports().items():
-        iosurface_image.exports[name] = Symbol(name, fn=fn)
+    iosurface_node = vfs.resolve(iosurface_path)
+    iosurface_node.binary_image = iosurface_node.binary_image.interposed(
+        cider_iosurface_exports()
+    )
     return report
 
 

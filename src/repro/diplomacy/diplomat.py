@@ -23,7 +23,7 @@ OpenGL ES call frequencies (the 20–37% 3D hit in Fig. 6).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, List, Optional
+from typing import TYPE_CHECKING, Callable
 
 from ..compat.xnu_abi import SYS_set_persona
 from ..kernel.errno import ENOENT, SyscallError
@@ -75,6 +75,12 @@ def _load_domestic_library(ctx: "UserContext", lib_name: str) -> "BinaryImage":
 class Diplomat:
     """One diplomatic function stub."""
 
+    #: A diplomat holds only its configuration (what it resolves, where
+    #: it crosses to), never per-process state: that lives in
+    #: ``ctx.lib_state``.  Boot-snapshot clones share it with the image
+    #: exporting it.
+    snapshot_shared = True
+
     def __init__(
         self,
         foreign_symbol: str,
@@ -82,14 +88,12 @@ class Diplomat:
         domestic_symbol: str,
         domestic_persona: str = "android",
         foreign_persona: str = "ios",
-        post_call: Optional[Callable] = None,
     ) -> None:
         self.foreign_symbol = foreign_symbol
         self.domestic_library = domestic_library
         self.domestic_symbol = domestic_symbol
         self.domestic_persona = domestic_persona
         self.foreign_persona = foreign_persona
-        self._post_call = post_call
         # Step 1's "locally-scoped static variable" caching the resolved
         # entry point — per-process, since libraries load per-process.
         self._cache_key = f"diplomat:{foreign_symbol}"
@@ -159,8 +163,6 @@ class Diplomat:
             # Step 8: convert domestic TLS values into the foreign area.
             machine.charge("errno_convert")
             thread.tls().errno = domestic_errno
-        if self._post_call is not None:
-            self._post_call(ctx, result)
         return result
 
     def __repr__(self) -> str:

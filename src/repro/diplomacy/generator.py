@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from ..binfmt import BinaryImage, Symbol, macho_dylib
+from ..binfmt import BinaryImage, macho_dylib
 from .diplomat import Diplomat
 
 
@@ -59,13 +59,12 @@ def generate_diplomats(
     exports are diplomats, plus the generation report.
     """
     report = GenerationReport()
-    exports: Dict[str, Symbol] = {}
+    functions: Dict[str, Diplomat] = {}
     manual = dict(manual_diplomats or {})
 
     for foreign_symbol in foreign_library.export_names():
         if foreign_symbol in manual:
-            diplomat = manual.pop(foreign_symbol)
-            exports[foreign_symbol] = Symbol(foreign_symbol, fn=diplomat)
+            functions[foreign_symbol] = manual.pop(foreign_symbol)
             report.manual.append(foreign_symbol)
             continue
         c_name = demangle_macho(foreign_symbol)
@@ -73,29 +72,28 @@ def generate_diplomats(
         if match is None:
             report.unmatched.append(foreign_symbol)
             continue
-        diplomat = Diplomat(
+        functions[foreign_symbol] = Diplomat(
             foreign_symbol=foreign_symbol,
             domestic_library=match.name,
             domestic_symbol=c_name,
             domestic_persona=domestic_persona,
             foreign_persona=foreign_persona,
         )
-        exports[foreign_symbol] = Symbol(foreign_symbol, fn=diplomat)
         report.matched[foreign_symbol] = match.name
 
     # Manual diplomats for symbols absent from the foreign export table
     # (new entry points the replacement library introduces).
     for name, diplomat in manual.items():
-        exports[name] = Symbol(name, fn=diplomat)
+        functions[name] = diplomat
         report.manual.append(name)
 
     replacement = macho_dylib(
         foreign_library.name,
+        functions=functions,
         install_name=foreign_library.install_name,
-        text_kb=max(64, len(exports) * 2),
+        text_kb=max(64, len(functions) * 2),
         data_kb=32,
     )
-    replacement.exports = exports
     return replacement, report
 
 

@@ -15,7 +15,7 @@ measurements.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from ..binfmt import KB, MB, BinaryImage, macho_dylib
 from .dyld import SHARED_CACHE_PATH, SharedCache
@@ -124,7 +124,7 @@ _FILLER_NAMES = [
 ]
 
 
-def _functional_exports(lib_name: str) -> Optional[Dict[str, object]]:
+def _functional_exports(lib_name: str) -> Optional[Dict[str, Callable]]:
     """Exports for the frameworks that have real implementations."""
     # Imported lazily: the framework modules depend on the wider ios
     # package, which depends on this module's image builders.
@@ -165,50 +165,36 @@ def _functional_exports(lib_name: str) -> Optional[Dict[str, object]]:
 
 def build_framework_images() -> List[Tuple[str, BinaryImage]]:
     """Construct the full (install_path, image) closure."""
-    entries: List[Tuple[str, BinaryImage]] = []
-    names_seen = []
-    major_kb = sum(kb for _, _, kb in _MAJOR_LIBS)
     filler_count = TARGET_LIBRARY_COUNT - len(_MAJOR_LIBS)
+    major_kb = sum(kb for _, _, kb in _MAJOR_LIBS)
     filler_total_kb = TARGET_TOTAL_MB * 1024 - major_kb
     filler_kb = max(64, filler_total_kb // filler_count)
-
-    for name, path, size_kb in _MAJOR_LIBS:
-        exports = _functional_exports(name)
-        image = macho_dylib(
-            name,
-            functions=None,
-            text_kb=int(size_kb * 0.8),
-            data_kb=int(size_kb * 0.2),
-            install_name=path,
-        )
-        if exports:
-            from ..binfmt.image import Symbol
-
-            for sym_name, fn in exports.items():
-                image.exports[sym_name] = Symbol(sym_name, fn=fn)
-        entries.append((path, image))
-        names_seen.append(name)
-
-    for filler in _FILLER_NAMES[:filler_count]:
-        path = (
-            f"/System/Library/PrivateFrameworks/{filler}.framework/{filler}"
-        )
-        image = macho_dylib(
+    libs = list(_MAJOR_LIBS) + [
+        (
             filler,
-            text_kb=int(filler_kb * 0.8),
-            data_kb=int(filler_kb * 0.2),
-            install_name=path,
+            f"/System/Library/PrivateFrameworks/{filler}.framework/{filler}",
+            filler_kb,
         )
-        entries.append((path, image))
-
+        for filler in _FILLER_NAMES[:filler_count]
+    ]
     # libSystem is the umbrella: every iOS binary links it, and linking it
     # pulls the entire base closure (how a real SDK app ends up with ~115
     # images resident before main()).
-    libsystem = entries[0][1]
-    libsystem.deps.extend(
-        path for path, image in entries[1:] if image is not libsystem
-    )
-    return entries
+    umbrella_deps = [path for _name, path, _kb in libs[1:]]
+    return [
+        (
+            path,
+            macho_dylib(
+                name,
+                functions=_functional_exports(name),
+                deps=umbrella_deps if index == 0 else None,
+                text_kb=int(size_kb * 0.8),
+                data_kb=int(size_kb * 0.2),
+                install_name=path,
+            ),
+        )
+        for index, (name, path, size_kb) in enumerate(libs)
+    ]
 
 
 def install_ios_frameworks(

@@ -72,7 +72,7 @@ import pickle
 import weakref
 from enum import Enum
 from types import BuiltinFunctionType, CodeType, FunctionType, ModuleType
-from typing import Callable, Dict, Iterable, List, Tuple
+from typing import Callable, Dict, Iterable, List, Set, Tuple
 
 
 class SnapshotError(RuntimeError):
@@ -155,25 +155,60 @@ def _captured(fn: FunctionType) -> Iterable[object]:
     yield from (fn.__kwdefaults__ or {}).values()
 
 
-def _check_closure(fn: FunctionType) -> None:
-    """Raise :class:`SnapshotError` if sharing ``fn`` would alias state."""
-    pending: List[object] = [fn]
-    seen = set()
+def _attributes(obj: object) -> Iterable[object]:
+    """The values a shared instance's attributes hold."""
+    yield from getattr(obj, "__dict__", {}).values()
+    for cls in type(obj).__mro__:
+        for name in cls.__dict__.get("__slots__", ()):
+            if hasattr(obj, name):
+                yield getattr(obj, name)
+
+
+def _vet(root: object, seen: Set[int]) -> None:
+    """Raise :class:`SnapshotError` if sharing ``root`` with every clone
+    would alias per-system state.
+
+    A shared function's closure cells and defaults may hold immutable
+    values, shared atoms, and tuples and frozensets of these.  A shared
+    instance's attributes may hold lists and dicts of these too.  Every
+    shared function and instance reached is vetted in turn, each once
+    per capture (``seen`` holds the ids already vetted).
+    """
+    pending: List[Tuple[object, object]] = [(root, root)]
     while pending:
-        obj = pending.pop()
+        obj, holder = pending.pop()
+        if isinstance(obj, _IMMUTABLE_TYPES):
+            continue
+        cls = type(obj)
+        if cls in (list, dict) and type(holder) is FunctionType:
+            raise _aliasing(root, holder, obj)
         if id(obj) in seen:
             continue
         seen.add(id(obj))
-        if type(obj) is FunctionType:
-            pending.extend(_captured(obj))
-        elif isinstance(obj, (tuple, frozenset)):
-            pending.extend(obj)
-        elif not (isinstance(obj, _IMMUTABLE_TYPES) or _kind(obj) is _SHARE):
-            raise SnapshotError(
-                f"{fn.__module__}.{fn.__qualname__} closes over "
-                f"{type(obj).__qualname__} state every clone would share; "
-                "make the hook an object or bound method owned by its system"
-            )
+        if cls is dict:
+            for item in obj.items():  # type: ignore[attr-defined]
+                pending.extend((value, holder) for value in item)
+        elif cls in (tuple, frozenset, list):
+            pending.extend((value, holder) for value in obj)  # type: ignore[attr-defined]
+        elif cls is FunctionType:
+            pending.extend((value, obj) for value in _captured(obj))  # type: ignore[arg-type]
+        elif getattr(cls, "snapshot_shared", False):
+            pending.extend((value, obj) for value in _attributes(obj))
+        elif _kind(obj) is not _SHARE:
+            raise _aliasing(root, holder, obj)
+
+
+def _aliasing(root: object, holder: object, value: object) -> SnapshotError:
+    if type(holder) is FunctionType:
+        where = f"{holder.__module__}.{holder.__qualname__} closes over"
+    else:
+        where = f"{type(holder).__qualname__} holds"
+    if holder is not root:
+        where = f"shared {type(root).__qualname__}: {where}"
+    return SnapshotError(
+        f"{where} {type(value).__qualname__} state every clone would share; "
+        "make the hook an object or bound method owned by its system"
+    )
 
 
 class _ImagePickler(pickle.Pickler):
@@ -186,6 +221,8 @@ class _ImagePickler(pickle.Pickler):
         #: Indices of atoms every clone branches with ``.copy()``.
         self.branched: List[int] = []
         self._index: Dict[int, int] = {}
+        #: Ids of the shared functions and instances already vetted.
+        self._vetted: Set[int] = set()
 
     def persistent_id(self, obj: object):
         kind = _kind(obj)
@@ -193,8 +230,8 @@ class _ImagePickler(pickle.Pickler):
             return None
         index = self._index.get(id(obj))
         if index is None:
-            if kind is _FUNCTION:
-                _check_closure(obj)
+            if kind is not _BRANCH:
+                _vet(obj, self._vetted)
             index = self._index[id(obj)] = len(self.atoms)
             if kind is _BRANCH:
                 # A private branch: the captured system may keep hashing.

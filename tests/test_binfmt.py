@@ -56,10 +56,10 @@ class TestStructure:
         assert image.vm_size_bytes == 80 * 1024
 
     def test_default_deps(self):
-        assert elf_executable("prog", _entry).deps == ["libc.so"]
-        assert macho_executable("prog", _entry).deps == [
-            "/usr/lib/libSystem.B.dylib"
-        ]
+        assert elf_executable("prog", _entry).deps == ("libc.so",)
+        assert macho_executable("prog", _entry).deps == (
+            "/usr/lib/libSystem.B.dylib",
+        )
 
     def test_lookup_missing_symbol(self):
         with pytest.raises(UndefinedSymbolError):

@@ -271,6 +271,48 @@ def test_closure_over_immutable_values_is_shared():
     assert clone.machine.probe is under_limit
 
 
+# -- snapshots: binary images are values every clone shares --------------------
+
+UIKIT = "/System/Library/Frameworks/UIKit.framework/UIKit"
+
+
+def test_clones_share_the_capture_sources_images():
+    system = build_cider(start_services=False)
+    vfs = system.kernel.vfs
+    images = [vfs.resolve(path).binary_image for path in (UIKIT, "/bin/hello-ios")]
+    snap = snapshot_systems(system)
+    for (clone,) in (snap.clone(), snap.clone()):
+        for path, image in zip((UIKIT, "/bin/hello-ios"), images):
+            assert clone.kernel.vfs.resolve(path).binary_image is image
+
+
+def _export_closing_over_a_list(system):
+    calls = []
+
+    def main(ctx, argv):
+        calls.append(argv)
+        return 0
+
+    return main
+
+
+def _export_bound_to_the_machine(system):
+    return system.machine.emit
+
+
+@pytest.mark.parametrize(
+    "export", [_export_closing_over_a_list, _export_bound_to_the_machine]
+)
+def test_image_export_holding_system_state_fails_at_capture(export):
+    from repro.binfmt import macho_executable
+
+    system = build_cider(start_services=False)
+    image = macho_executable("leaky", export(system))
+    system.kernel.vfs.install_binary("/data/leaky", image)
+    with pytest.raises(SnapshotError, match="shared BinaryImage"):
+        snapshot_systems(system)
+
+
 # -- sweep transcripts: --jobs N is byte-invisible -----------------------------
 
 
