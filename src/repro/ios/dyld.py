@@ -17,28 +17,38 @@ Each loaded image registers a pthread_atfork handler set and an exit
 callback in libSystem — "resulting in the execution of 115 handlers on
 exit" (§6.2).
 
-The simulator itself need not redo a walk it has already done: a walk
-nothing observes is recorded once per dependency root as a
-:class:`WalkPlan` and replayed while everything it read is unchanged.
-The replay charges the same picoseconds and maps the same regions in the
-same order, so the simulated walk, and its virtual time, stay as above.
-It maps the very VMAs the cold walk built: a VMA is a value every
-address space may share (:mod:`repro.kernel.mm`).
+The simulator itself need not redo a walk it has already done.  A cold
+walk of a dependency root leaves a :class:`WalkRecording`: what it
+charged, mapped and registered, and which paths it walked.  Images and
+VMAs are values (:mod:`repro.binfmt.image`, :mod:`repro.kernel.mm`), so
+a recording belongs to no one system.  A :class:`WalkPlan` binds it to
+one VFS: the directories and file nodes its lookups read there.  While
+the binding holds, an exec replays the recording instead of walking:
+the same picoseconds and the same maps in the same order, so the
+simulated walk, and its virtual time, stay as above.  The recordings
+are kept in a :class:`WalkBook` that every boot-snapshot clone of the
+booted system shares, so a clone re-binds a sibling's recording to its
+own VFS instead of walking cold.
+
+A replay crosses only ``mm.map`` and ``mm.reserve`` itself (through
+``map_vma``, at the cold walk's clock readings).  It only counts the
+``dyld.load`` and ``vfs.lookup`` points a cold walk checks, so it runs
+under a fault plan only when no rule can match either of them.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import TYPE_CHECKING, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from ..binfmt import BinaryImage
 from ..kernel.errno import ENOENT, SyscallError
-from ..kernel.vfs import RegularFile
+from ..kernel.vfs import Directory, RegularFile
 
 if TYPE_CHECKING:
     from ..kernel.mm import VMA
     from ..kernel.process import UserContext
-    from ..kernel.vfs import VFS, Directory, Inode
+    from ..kernel.vfs import VFS, Inode
 
 #: Where iOS keeps the prelinked cache.
 SHARED_CACHE_PATH = (
@@ -103,26 +113,26 @@ class LaunchClosure:
     open-walk-link.
     """
 
-    __slots__ = ("image", "generation", "plan")
+    __slots__ = ("image", "generation", "recording")
 
-    def __init__(self, image: BinaryImage, generation: int, plan: "WalkPlan") -> None:
+    def __init__(
+        self, image: BinaryImage, generation: int, recording: "WalkRecording"
+    ) -> None:
         self.image = image
         self.generation = generation
         #: The walk this closure was built from: its ordered entries and
         #: the VMAs it mapped.
-        self.plan = plan
+        self.recording = recording
 
 
-class WalkPlan:
-    """A recorded cold walk of one dependency root, replayed host-side.
+class WalkRecording:
+    """What one cold walk of a dependency root did.
 
     Virtual time is a pure function of simulator state, so a walk that
-    reads the same state charges the same picoseconds and maps the same
-    regions.  The cold walk records what it did and what it read; while
-    everything it read is unchanged, :meth:`Dyld._replay_plan` repeats
-    the charges and maps without walking the filesystem again.  The
-    simulated walk is unchanged: ``last_stats`` still reports every
-    library as walked.
+    finds the same images at the same paths charges the same picoseconds
+    and maps the same regions.  The recording holds only values (images,
+    VMAs, numbers and names), so it belongs to no one system; a
+    :class:`WalkPlan` binds it to one VFS.
     """
 
     def __init__(self, cache_generation: int) -> None:
@@ -135,25 +145,37 @@ class WalkPlan:
         self.entries: List[tuple] = []
         #: Picoseconds charged after the last map.
         self.tail_ps = 0
-        #: What the walk reports; every replay returns it as is.
+        #: What the walk reports; every replay returns it as is.  The
+        #: simulated walk is unchanged, so ``walked_filesystem`` still
+        #: counts every library found on the filesystem.
         self.stats = DyldStats()
-        #: What the walk read: the shared-cache generation, every
-        #: directory a lookup went through (with its generation at the
-        #: time), each walked file with the image it held, and the cache
-        #: file with the cache it held.
+        #: ``(path, image)`` for each library the walk found on the
+        #: filesystem, in walk order.
+        self.paths: List[Tuple[str, BinaryImage]] = []
+        #: The shared-cache generation the walk ran under.
         self.cache_generation = cache_generation
+
+
+class WalkPlan:
+    """A recording bound to one VFS, replayed host-side while valid.
+
+    The binding is what the recording's lookups read on that VFS: every
+    directory with its generation, each walked file with the image it
+    held, and the cache file with the cache it held.  While none of it
+    changed, :meth:`Dyld._replay` repeats the recording's charges and
+    maps without walking the filesystem again.
+    """
+
+    def __init__(self, recording: WalkRecording) -> None:
+        self.recording = recording
         self.dirs: Dict[Directory, int] = {}
-        self.files: List[tuple] = []
+        self.files: List[Tuple[RegularFile, BinaryImage]] = []
         self.cache_file: Optional[Inode] = None
         self.cache: object = None
 
-    def read_path(self, vfs: "VFS", path: str) -> None:
-        for directory in vfs.dirs_read(path):
-            self.dirs.setdefault(directory, directory.generation)
-
     def valid(self, cache_generation: int) -> bool:
         """True while nothing the walk read has changed."""
-        if cache_generation != self.cache_generation:
+        if cache_generation != self.recording.cache_generation:
             return False
         for directory, generation in self.dirs.items():
             if directory.generation != generation:
@@ -166,6 +188,38 @@ class WalkPlan:
             cache_file is None
             or getattr(cache_file, "shared_cache", None) is self.cache
         )
+
+
+class WalkBook(dict):
+    """Dependency root -> the latest :class:`WalkRecording` of it.
+
+    A host-side memo that no simulated state reads: every use re-binds
+    the recording and checks it against the VFS at hand.  Boot-snapshot
+    clones share one book by reference (and fork-server workers inherit
+    it), so a recording any clone makes serves them all.  Its entries
+    are not attributes, so the capture check does not walk them.
+    """
+
+    __slots__ = ()
+
+    snapshot_shared = True
+
+
+def _lookup(
+    vfs: "VFS", path: str, dirs: Dict[Directory, int]
+) -> Optional["Inode"]:
+    """What ``vfs.resolve(path)`` returns, or ``None`` where it raises,
+    noting each directory it reads, with its generation, in ``dirs``.
+    Charges nothing."""
+    node: Inode = vfs.root
+    for part in vfs.split(path):
+        if not isinstance(node, Directory):
+            return None
+        dirs.setdefault(node, node.generation)
+        node = node.entries.get(part)
+        if node is None:
+            return None
+    return node
 
 
 class SharedCache:
@@ -226,10 +280,13 @@ class Dyld:
         #: against an older generation fail validation.
         self.cache_generation = 0
         self._closures: Dict[str, LaunchClosure] = {}
-        #: Host-side walk plans, one per dependency root
-        #: (``tuple(image.deps)``).  Clearing it forces the next exec of
-        #: each root to walk cold.
+        #: Host-side walk plans bound to this system's VFS, one per
+        #: dependency root (``image.deps``).
         self.plans: Dict[tuple, WalkPlan] = {}
+        #: Recordings shared with every snapshot clone of this system.
+        #: With the shared cache, plans stay per system: no workload
+        #: clones such a system.
+        self.book = WalkBook()
 
     def invalidate_closures(self) -> None:
         """Drop every prebuilt closure and move the cache generation on,
@@ -253,22 +310,14 @@ class Dyld:
 
     # -- library loading ------------------------------------------------------------
 
-    def _resolve_cache(
-        self, ctx: "UserContext", plan: Optional[WalkPlan]
-    ) -> Optional[SharedCache]:
+    def _resolve_cache(self, ctx: "UserContext") -> Optional[SharedCache]:
         if not self.use_shared_cache:
             return None
-        vfs = ctx.kernel.vfs
-        if plan is not None:
-            plan.read_path(vfs, SHARED_CACHE_PATH)
         try:
-            node = vfs.resolve(SHARED_CACHE_PATH)
+            node = ctx.kernel.vfs.resolve(SHARED_CACHE_PATH)
         except SyscallError:
             return None
         cache = getattr(node, "shared_cache", None)
-        if plan is not None:
-            plan.cache_file = node
-            plan.cache = cache
         return cache if isinstance(cache, SharedCache) else None
 
     def _load_libraries(self, ctx: "UserContext", image: BinaryImage) -> DyldStats:
@@ -303,45 +352,89 @@ class Dyld:
             ):
                 return self._replay_closure(ctx, closure)
         machine = ctx.machine
+        vfs = ctx.kernel.vfs
+        faults = machine.faults
         # Plans are only for walks nothing watches: spans, counters,
-        # fault points and dcache statistics all come from a cold walk.
+        # dcache statistics and the faults a replay would not check all
+        # come from a cold walk.
         planned = (
             machine.obs is None
-            and machine.faults is None
-            and not ctx.kernel.vfs.dcache_enabled
+            and not vfs.dcache_enabled
+            and (
+                faults is None
+                or not (
+                    faults.can_match("dyld.load")
+                    or faults.can_match("vfs.lookup")
+                )
+            )
         )
-        key = tuple(image.deps)
-        plan = self.plans.get(key) if planned else None
-        if plan is not None and plan.valid(self.cache_generation):
-            stats = self._replay_plan(ctx, plan)
+        key = image.deps
+        plan = self._plan(vfs, key) if planned else None
+        if plan is not None:
+            recording = plan.recording
+            stats = self._replay(ctx, recording)
         else:
-            plan = WalkPlan(self.cache_generation)
-            stats = self._walk(ctx, image, plan, planned)
+            recording = WalkRecording(self.cache_generation)
+            stats = self._walk(ctx, image, recording)
             if planned:
-                self.plans[key] = plan
+                # Nothing else ran while the walk did, so binding now
+                # reads what the walk read.
+                plan = self._bind(vfs, recording)
+                if plan is not None:
+                    self.plans[key] = plan
+                    if not self.use_shared_cache:
+                        self.book[key] = recording
         if self.use_closures:
             self._closures[image.name] = LaunchClosure(
-                image, self.cache_generation, plan
+                image, self.cache_generation, recording
             )
         return stats
 
+    def _plan(self, vfs: "VFS", key: tuple) -> Optional[WalkPlan]:
+        """A valid plan for ``key``: this system's own, or else the
+        book's recording bound afresh to ``vfs``."""
+        plan = self.plans.get(key)
+        if plan is not None and plan.valid(self.cache_generation):
+            return plan
+        recording = self.book.get(key)
+        if recording is None or recording.cache_generation != self.cache_generation:
+            return None
+        plan = self._bind(vfs, recording)
+        if plan is not None:
+            self.plans[key] = plan
+        return plan
+
+    def _bind(self, vfs: "VFS", recording: WalkRecording) -> Optional[WalkPlan]:
+        """Bind ``recording`` to ``vfs``; ``None`` where a cold walk on
+        ``vfs`` would fail or find another image: a walked path with a
+        missing entry or a component that is not a directory, or one
+        that resolves to anything but a regular file holding the
+        recorded image.  Charges nothing."""
+        plan = WalkPlan(recording)
+        dirs = plan.dirs
+        if self.use_shared_cache:
+            plan.cache_file = _lookup(vfs, SHARED_CACHE_PATH, dirs)
+            plan.cache = getattr(plan.cache_file, "shared_cache", None)
+        files = plan.files
+        for path, lib in recording.paths:
+            node = _lookup(vfs, path, dirs)
+            if not isinstance(node, RegularFile) or node.binary_image is not lib:
+                return None
+            files.append((node, lib))
+        return plan
+
     def _walk(
-        self,
-        ctx: "UserContext",
-        image: BinaryImage,
-        plan: WalkPlan,
-        record: bool,
+        self, ctx: "UserContext", image: BinaryImage, recording: WalkRecording
     ) -> DyldStats:
         """The cold walk: resolve, map and link every library, noting
-        each step in ``plan`` (and, when ``record``, what it read)."""
+        each step in ``recording``."""
         machine = ctx.machine
         clock = machine.clock
         process = ctx.process
         space = process.address_space
-        vfs = ctx.kernel.vfs
-        stats = plan.stats
+        stats = recording.stats
         mark = clock.charged_ps
-        cache = self._resolve_cache(ctx, plan if record else None)
+        cache = self._resolve_cache(ctx)
         cache_mapped = False
 
         loaded: Set[str] = set()
@@ -349,7 +442,7 @@ class Dyld:
         state = ctx.lib_state(LIBSYSTEM_STATE)
         atfork = state.setdefault("atfork", [])
         atexit = state.setdefault("atexit", [])
-        entries = plan.entries
+        entries = recording.entries
 
         # Breadth first: the loop also visits what ``queue.extend`` adds.
         for dep in queue:
@@ -383,12 +476,9 @@ class Dyld:
                 machine.charge("dyld_link_per_lib", 0.25)
                 stats.from_cache += 1
             else:
-                node = self._walk_filesystem(ctx, dep)
-                lib = node.binary_image
+                lib = self._walk_filesystem(ctx, dep).binary_image
                 from_cache = False
-                if record:
-                    plan.read_path(vfs, dep)
-                    plan.files.append((node, lib))
+                recording.paths.append((dep, lib))
                 machine.charge("dyld_lib_map_per_mb", lib.vm_size_mb)
                 machine.charge("dyld_link_per_lib")
                 ps = clock.charged_ps - mark
@@ -408,15 +498,17 @@ class Dyld:
             process.loaded_libraries[lib.install_name] = lib
             queue.extend(d for d in lib.deps if d not in loaded)
 
-        plan.tail_ps = clock.charged_ps - mark
+        recording.tail_ps = clock.charged_ps - mark
         _register_cache_batches(atfork, atexit, stats.from_cache)
         return stats
 
-    def _replay_plan(self, ctx: "UserContext", plan: WalkPlan) -> DyldStats:
+    def _replay(self, ctx: "UserContext", recording: WalkRecording) -> DyldStats:
         """Repeat a recorded walk: for each library, charge what the cold
         walk charged before its map, then map the cold walk's VMA, in the
         cold order — so the clock reads the same at every map, and a map
-        that fails leaves the same state behind."""
+        that fails leaves the same state behind.  Under a fault plan, the
+        points the cold walk checked before each map are counted, in its
+        order (no rule can match them, or the walk would be cold)."""
         process = ctx.process
         charge_ps = ctx.machine.clock.charge_ps
         map_vma = process.address_space.map_vma
@@ -424,18 +516,24 @@ class Dyld:
         state = ctx.lib_state(LIBSYSTEM_STATE)
         atfork = state.setdefault("atfork", [])
         atexit = state.setdefault("atexit", [])
-        for lib, _from_cache, ps, vma, on_fork, on_exit in plan.entries:
+        faults = ctx.machine.faults
+        if faults is not None and self.use_shared_cache:
+            faults.count("vfs.lookup")  # the cache file's lookup
+        for lib, _from_cache, ps, vma, on_fork, on_exit in recording.entries:
             if vma is not None:
                 charge_ps(ps)
+                if on_fork is not None and faults is not None:
+                    faults.count("dyld.load")
+                    faults.count("vfs.lookup")
                 map_vma(vma)
                 if on_fork is not None:
                     atfork.append(on_fork)
                     atexit.append(on_exit)
             loaded[lib.name] = lib
             loaded[lib.install_name] = lib
-        charge_ps(plan.tail_ps)
-        _register_cache_batches(atfork, atexit, plan.stats.from_cache)
-        return plan.stats
+        charge_ps(recording.tail_ps)
+        _register_cache_batches(atfork, atexit, recording.stats.from_cache)
+        return recording.stats
 
     def _replay_closure(
         self, ctx: "UserContext", closure: LaunchClosure
@@ -453,7 +551,7 @@ class Dyld:
         state = ctx.lib_state(LIBSYSTEM_STATE)
         atfork = state.setdefault("atfork", [])
         atexit = state.setdefault("atexit", [])
-        for lib, from_cache, _ps, vma, on_fork, on_exit in closure.plan.entries:
+        for lib, from_cache, _ps, vma, on_fork, on_exit in closure.recording.entries:
             if from_cache:
                 if vma is not None:
                     # The cache submap must still be mapped per process

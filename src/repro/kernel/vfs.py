@@ -292,20 +292,6 @@ class VFS:
             if span is not None:
                 obs.exit_span(span)
 
-    def dirs_read(self, path: str) -> List[Directory]:
-        """The directories an absolute lookup of ``path`` reads, root
-        first, up to the one holding (or missing) its last component.
-        Charges nothing."""
-        directory = self.root
-        dirs = [directory]
-        for part in self.split(path)[:-1]:
-            child = directory.entries.get(part)
-            if not isinstance(child, Directory):
-                break
-            directory = child
-            dirs.append(directory)
-        return dirs
-
     def _check_lookup_fault(self, path: str) -> None:
         if self._machine.faults is None:
             return

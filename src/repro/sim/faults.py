@@ -304,6 +304,17 @@ class FaultPlan:
             return outcome
         return None
 
+    def can_match(self, point: str) -> bool:
+        """Whether any rule names ``point``, exactly or by glob.  Windows,
+        predicates and counts are not consulted, so a rule that could
+        never fire still counts."""
+        return any(rule._match_point(point) for rule in self.rules)
+
+    def count(self, point: str) -> None:
+        """Count one occurrence of ``point``, which no rule can match,
+        exactly as :meth:`check` would."""
+        self.occurrences[point] = self.occurrences.get(point, 0) + 1
+
     def _crash(self, point: str, outcome: FaultOutcome) -> None:
         """Machine-level outcomes are handled here so every injection
         point — present and future — supports them without per-site code.

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import repro
 from repro.binfmt import Arch, BinaryFormat, macho_dylib, macho_executable
 from repro.cider.system import build_cider, build_ipad_mini
-from repro.ios.dyld import SHARED_CACHE_PATH, evict_shared_cache
+from repro.ios.dyld import SHARED_CACHE_PATH, WalkBook, evict_shared_cache
 from repro.ios.frameworks import (
     TARGET_LIBRARY_COUNT,
     TARGET_TOTAL_MB,
@@ -258,6 +258,13 @@ def _exec_hello(system, as_limit=None):
         return ("errno", err.errno)
 
 
+def _forget_walks(dyld):
+    """Leave ``dyld`` nothing to replay: no plans, and an empty book of
+    its own (the book itself is shared with every snapshot sibling)."""
+    dyld.plans.clear()
+    dyld.book = WalkBook()
+
+
 def _no_change(system):
     pass
 
@@ -306,12 +313,12 @@ def _envelope_installed(ram_mb, system):
     system.machine.install_resources(ResourceEnvelope(ram_mb=ram_mb))
 
 
-#: (build_cider kwargs, change, RLIMIT_AS of the exec, plan still valid)
+#: (build_cider kwargs, change, RLIMIT_AS of the exec, the exec replays)
 TWIN_CASES = {
     "none": ({}, _no_change, None, True),
     "none-shared-cache": ({"shared_cache": True}, _no_change, None, True),
     "tmp-create-unlink": ({}, _tmp_file_created_and_unlinked, None, True),
-    "usr-lib-create": ({}, _usr_lib_file_created, None, False),
+    "usr-lib-create": ({}, _usr_lib_file_created, None, True),
     "dylib-unlinked": ({}, _walked_dylib_unlinked, None, False),
     "dylib-replaced": ({}, _dylib_replaced, None, False),
     "framework-renamed": ({}, _framework_renamed_away, None, False),
@@ -328,10 +335,12 @@ ENOMEM_CASES = ("rlimit-as-enomem", "ram-envelope-enomem")
 
 @pytest.mark.parametrize("case", sorted(TWIN_CASES))
 def test_plan_replay_equals_cold_walk(case):
-    """Two identical twins see the same change; one has its plans
-    cleared.  The exec that follows must leave the same virtual time,
+    """Two identical twins see the same change; one has its plans and
+    book cleared.  The exec that follows must leave the same virtual time,
     stats, mappings, libraries, handlers, errno and RAM reserved on both,
-    both when dyld returns and after the process is gone."""
+    both when dyld returns and after the process is gone.  A change that
+    moves a directory generation but no resolution (a new file in
+    ``/usr/lib``) still replays: the book's recording re-binds."""
     kwargs, change, as_limit, valid = TWIN_CASES[case]
     outcomes = []
     for clear in (False, True):
@@ -339,7 +348,7 @@ def test_plan_replay_equals_cold_walk(case):
         try:
             change(system)
             if clear:
-                system.ios.dyld.plans.clear()
+                _forget_walks(system.ios.dyld)
             loads = _probe_loads(system)
             result = _exec_hello(system, as_limit)
             res = system.machine.resources
@@ -404,16 +413,26 @@ def test_snapshot_clones_validate_the_plan_against_their_own_vfs():
     system.shutdown()
     clones = [clone for (clone,) in (snap.clone(), snap.clone())]
     try:
+        plans = []
         for clone in clones:
             (plan,) = clone.ios.dyld.plans.values()
             assert next(iter(plan.dirs)) is clone.kernel.vfs.root
+            plans.append(plan)
         clones[0].kernel.vfs.create_file("/usr/lib/libNew.dylib", b"x")
         resolved = []
         for clone in clones:
             loads = _probe_loads(clone)
             assert _exec_hello(clone) == 0
             resolved.append(len(loads[0]["resolved"]))
-        assert resolved == [TARGET_LIBRARY_COUNT, 0]
+        assert resolved == [0, 0]
+        # The changed clone's plan failed validation, so it re-bound the
+        # book's recording to its own VFS; the other kept its plan.
+        dyld = clones[0].ios.dyld
+        ((root, rebound),) = dyld.plans.items()
+        assert rebound is not plans[0]
+        assert rebound.recording is dyld.book[root]
+        assert next(iter(rebound.dirs)) is clones[0].kernel.vfs.root
+        assert list(clones[1].ios.dyld.plans.values()) == [plans[1]]
     finally:
         for clone in clones:
             clone.shutdown()
@@ -468,15 +487,6 @@ def _fault_plan(specs, base_ns):
     return plan
 
 
-def _forget_walks(dyld):
-    """Leave ``dyld`` nothing to replay: no plans and, where it keeps a
-    book of recordings, an empty one of its own (the book itself is
-    shared with every snapshot sibling)."""
-    dyld.plans.clear()
-    if hasattr(dyld, "book"):
-        dyld.book = type(dyld.book)()
-
-
 @pytest.fixture(scope="module")
 def hello_snapshot():
     """A booted Cider system that has exec'd ``/bin/hello-ios`` once."""
@@ -527,6 +537,85 @@ def test_walk_under_a_fault_plan_equals_cold_walk(hello_snapshot, specs):
         finally:
             system.shutdown()
     assert outcomes[0] == outcomes[1]
+
+
+# -- recordings cross snapshot clones ------------------------------------------
+
+
+def _load_state(loads):
+    return [{k: v for k, v in load.items() if k != "resolved"} for load in loads]
+
+
+def test_a_clone_adopts_a_siblings_recording():
+    snap = snapshot_systems(build_cider(start_services=False))
+    outcomes = []
+    for (clone,) in (snap.clone(), snap.clone()):
+        try:
+            loads = _probe_loads(clone)
+            assert _exec_hello(clone) == 0
+            outcomes.append((clone.machine.clock.charged_ps, loads))
+        finally:
+            clone.shutdown()
+    (first_ps, first), (second_ps, second) = outcomes
+    assert len(first[0]["resolved"]) == TARGET_LIBRARY_COUNT
+    assert second[0]["resolved"] == []
+    assert (second_ps, _load_state(second)) == (first_ps, _load_state(first))
+
+
+def _walked_directory_replaced_by_file(system):
+    vfs = system.kernel.vfs
+    framework = "/System/Library/PrivateFrameworks/CoreTelephony.framework"
+    vfs.rename(framework, "/tmp/CoreTelephony.framework")
+    vfs.create_file(framework, b"x")
+
+
+@pytest.mark.parametrize(
+    "change", [_dylib_replaced, _walked_directory_replaced_by_file]
+)
+def test_a_clone_whose_walk_would_differ_walks_cold(hello_snapshot, change):
+    """The book's recording does not bind to a clone whose walk would
+    find another image or fail: that clone walks cold, and ends exactly
+    like a clone with nothing to replay."""
+    outcomes = []
+    for forget in (False, True):
+        (clone,) = hello_snapshot.clone()
+        try:
+            change(clone)
+            if forget:
+                _forget_walks(clone.ios.dyld)
+            loads = _probe_loads(clone)
+            result = _exec_hello(clone)
+            outcomes.append((clone.machine.clock.charged_ps, result, loads))
+        finally:
+            clone.shutdown()
+    (kept_ps, kept_result, kept), (cold_ps, cold_result, cold) = outcomes
+    assert kept[0]["resolved"] == cold[0]["resolved"] != []
+    assert (kept_ps, kept_result, _load_state(kept)) == (
+        cold_ps,
+        cold_result,
+        _load_state(cold),
+    )
+
+
+def test_partsweep_case_after_the_record_pass_resolves_no_dylib(monkeypatch):
+    """The record pass leaves its recording in the world snapshot's
+    book, so a case, fault plan and all, replays it."""
+    from repro.ios.dyld import Dyld
+    from repro.workloads import partsweep
+
+    occurrences, first_fetch_ns = partsweep.record_pass()
+    site = partsweep.sample_sites(occurrences)[0]
+    walked = []
+    walk_filesystem = Dyld._walk_filesystem
+
+    def traced(self, ctx, install_name):
+        walked.append(install_name)
+        return walk_filesystem(self, ctx, install_name)
+
+    monkeypatch.setattr(Dyld, "_walk_filesystem", traced)
+    line, ok = partsweep.sweep_case("clean", site, first_fetch_ns)
+    assert ok, line
+    assert walked == []
 
 
 def test_warm_start_transcript_matches_committed():
