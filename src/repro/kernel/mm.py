@@ -125,6 +125,17 @@ class AddressSpace:
     address space.
     """
 
+    __slots__ = (
+        "_vmas",
+        "_machine",
+        "as_limit_bytes",
+        "total_bytes",
+        "total_pages",
+        "copied_on_fork_pages",
+        "_reserved",
+        "_cow",
+    )
+
     def __init__(self, machine: Optional["Machine"] = None) -> None:
         self._vmas: List[VMA] = []
         self._machine = machine

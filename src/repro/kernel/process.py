@@ -70,14 +70,22 @@ class Process:
     def __init__(
         self, kernel: "Kernel", pid: int, ppid: int, name: str
     ) -> None:
+        self._build(kernel, pid, ppid, name)
+        self.address_space = AddressSpace(kernel.machine)
+        self.fd_table = FDTable()
+        self.signals = SignalState()
+        #: POSIX resource limits (RLIMIT_AS / RLIMIT_NOFILE / RLIMIT_NPROC),
+        #: inherited across fork/spawn via the getrlimit/setrlimit traps.
+        self.rlimits = Rlimits()
+
+    def _build(self, kernel: "Kernel", pid: int, ppid: int, name: str) -> None:
+        """Every field but the address space, descriptor table, signal
+        state and rlimits, which a fork copies from its parent."""
         self.kernel = kernel
         self.pid = pid
         self.ppid = ppid
         self.name = name
-        self.address_space = AddressSpace(kernel.machine)
-        self.fd_table = FDTable()
         self.cwd: Optional["Directory"] = None
-        self.signals = SignalState()
         self.threads: List[KThread] = []
         self.children: List[Process] = []
         self.state = "running"  # running | zombie | dead
@@ -90,9 +98,6 @@ class Process:
         self.libc_factory: Optional[Callable[["UserContext"], object]] = None
         self.dying: Optional[int] = None  # fatal signal in flight
         self.mach_task: Optional[object] = None  # set by duct-taped Mach IPC
-        #: POSIX resource limits (RLIMIT_AS / RLIMIT_NOFILE / RLIMIT_NPROC),
-        #: inherited across fork/spawn via the getrlimit/setrlimit traps.
-        self.rlimits = Rlimits()
         #: XNU jetsam priority band (higher = more important; processes in
         #: the SYSTEM band are never killed).  See repro.kernel.pressure.
         self.jetsam_priority = 3  # JETSAM_PRIORITY_DEFAULT
@@ -471,7 +476,8 @@ class ProcessManager:
             "process", "fork", parent=parent.pid, pages=pages, cow=cow
         )
 
-        child = Process(kernel, self._alloc_pid(), parent.pid, parent.name)
+        child = Process.__new__(Process)
+        child._build(kernel, self._alloc_pid(), parent.pid, parent.name)
         child.address_space = parent.address_space.fork_copy(cow=cow)
         child.fd_table = parent.fd_table.fork_copy()
         child.cwd = parent.cwd
