@@ -42,8 +42,12 @@ groups:
 * **Shared** by every clone, as the same object: modules, classes,
   functions, code objects, weakrefs, properties, builtins bound to a
   module (``len``, ``math.sqrt``) and instances of classes that declare
-  ``snapshot_shared = True`` (frozen value objects such as
-  ``Segment`` and ``CompilerProfile``).  They hold no per-run state.
+  ``snapshot_shared = True``: value objects such as ``Segment``,
+  ``CompilerProfile``, binary images with their ``Symbol`` exports and
+  the ``Diplomat`` stubs those export.  They hold no per-run state.
+  One shared object is a host-side memo rather than a value: dyld's
+  ``WalkBook`` of recorded walks (``repro.ios.dyld``), which every clone
+  of a system adds to and reads, and which no simulated state reads.
 * **Re-created on load**: a ``hashlib`` object is branched per clone
   with ``.copy()``; a scheduler's controller gets a fresh held gate; a
   finished ``SimThread`` loads as a tombstone with neither gate, worker
@@ -52,13 +56,18 @@ groups:
   object (``some_list.append`` is copied with its list) and a bound
   Python method (copied with its ``self``).
 
-The closure rule: a shared function must not smuggle per-system state
-into every clone.  Capture raises :class:`SnapshotError`, naming the
-function, when a closure cell or default argument holds anything but a
-shared object or an immutable value (``None``, numbers, strings, bytes,
-enum members, and tuples or frozensets of these).  A hook that must
-reach per-system state is an object (a ``functools.partial`` is one) or
-a bound method owned by its system, so it is copied with the clone.
+The capture check: nothing shared may smuggle per-system state into
+every clone.  Capture vets each shared function and shared instance
+once, and everything shared they reach in turn.  A function's closure
+cells and defaults may hold only shared objects and immutable values
+(``None``, numbers, strings, bytes, enum members, and tuples or
+frozensets of these); a shared instance's attributes may also hold
+lists and dicts of these.  Anything else raises :class:`SnapshotError`
+naming the function or the shared class and the offending type.  A hook
+that must reach per-system state is an object (a ``functools.partial``
+is one) or a bound method owned by its system, so it is copied with the
+clone.  The book's entries are not attributes, so the check does not
+walk them.
 
 The image never leaves the process — fork-server workers inherit it
 through ``fork`` — so only bytes this program wrote are ever unpickled.
