@@ -487,33 +487,27 @@ def _fault_plan(specs, base_ns):
     return plan
 
 
-@pytest.fixture(scope="module")
-def hello_snapshot():
+def _hello_snapshot(**kwargs):
     """A booted Cider system that has exec'd ``/bin/hello-ios`` once."""
-    system = build_cider(start_services=False)
+    system = build_cider(start_services=False, **kwargs)
     assert system.run_program("/bin/hello-ios") == 0
     snap = snapshot_systems(system)
     system.shutdown()
     return snap
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.lists(_fault_rule, max_size=3))
-@example([])
-@example([("dyld.load", ("errno", E.ENOENT), 3, None, None)])
-@example([("vfs.lookup", ("delay", 20_000), 60, 1, None)])
-@example([("mm.map", ("errno", E.ENOMEM), 40, None, None)])
-@example([("mm.reserve", ("delay", 30_000), None, 2, (0, 5_000_000))])
-@example([("net.*", ("errno", E.EIO), None, None, None)])
-def test_walk_under_a_fault_plan_equals_cold_walk(hello_snapshot, specs):
-    """Two clones exec ``/bin/hello-ios`` under one generated fault plan:
-    one holds the recorded walk, the other has nothing to replay and
-    walks cold.  Virtual time, the result, every load's state, the
-    plan's occurrence counts (in order), its events and each rule's
-    matches and fires must agree."""
+@pytest.fixture(scope="module")
+def hello_snapshot():
+    return _hello_snapshot()
+
+
+def _execs_under_fault_plan(snapshot, specs):
+    """Two clones exec ``/bin/hello-ios`` under one fault plan built from
+    ``specs``: one holds the recorded walk, the other has nothing to
+    replay.  What each left behind."""
     outcomes = []
     for forget in (False, True):
-        (system,) = hello_snapshot.clone()
+        (system,) = snapshot.clone()
         try:
             if forget:
                 _forget_walks(system.ios.dyld)
@@ -536,7 +530,39 @@ def test_walk_under_a_fault_plan_equals_cold_walk(hello_snapshot, specs):
             )
         finally:
             system.shutdown()
-    assert outcomes[0] == outcomes[1]
+    return outcomes
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_fault_rule, max_size=3))
+@example([])
+@example([("dyld.load", ("errno", E.ENOENT), 3, None, None)])
+@example([("vfs.lookup", ("delay", 20_000), 60, 1, None)])
+@example([("mm.map", ("errno", E.ENOMEM), 40, None, None)])
+@example([("mm.reserve", ("delay", 30_000), None, 2, (0, 5_000_000))])
+@example([("net.*", ("errno", E.EIO), None, None, None)])
+def test_walk_under_a_fault_plan_equals_cold_walk(hello_snapshot, specs):
+    """Two clones exec ``/bin/hello-ios`` under one generated fault plan:
+    one holds the recorded walk, the other has nothing to replay and
+    walks cold.  Virtual time, the result, every load's state, the
+    plan's occurrence counts (in order), its events and each rule's
+    matches and fires must agree."""
+    replayed, cold = _execs_under_fault_plan(hello_snapshot, specs)
+    assert replayed == cold
+
+
+@pytest.mark.parametrize(
+    "specs",
+    [[], [("mm.reserve", ("delay", 30_000), None, 3, None)]],
+    ids=["empty", "mm-reserve-delay"],
+)
+def test_shared_cache_walk_under_a_fault_plan_equals_cold_walk(specs):
+    """With the shared cache, a replay also counts the cache file's
+    ``vfs.lookup``, once and first, as the cold walk checks it."""
+    replayed, cold = _execs_under_fault_plan(
+        _hello_snapshot(shared_cache=True), specs
+    )
+    assert replayed == cold
 
 
 # -- recordings cross snapshot clones ------------------------------------------
