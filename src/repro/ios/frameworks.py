@@ -165,8 +165,8 @@ def _functional_exports(lib_name: str) -> Optional[Dict[str, Callable]]:
 
 def build_framework_images() -> List[Tuple[str, BinaryImage]]:
     """Construct the full (install_path, image) closure."""
-    filler_count = TARGET_LIBRARY_COUNT - len(_MAJOR_LIBS)
     major_kb = sum(kb for _, _, kb in _MAJOR_LIBS)
+    filler_count = TARGET_LIBRARY_COUNT - len(_MAJOR_LIBS)
     filler_total_kb = TARGET_TOTAL_MB * 1024 - major_kb
     filler_kb = max(64, filler_total_kb // filler_count)
     libs = list(_MAJOR_LIBS) + [

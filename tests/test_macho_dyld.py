@@ -341,7 +341,7 @@ def test_plan_replay_equals_cold_walk(case):
     both when dyld returns and after the process is gone.  A change that
     moves a directory generation but no resolution (a new file in
     ``/usr/lib``) still replays: the book's recording re-binds."""
-    kwargs, change, as_limit, valid = TWIN_CASES[case]
+    kwargs, change, as_limit, replays = TWIN_CASES[case]
     outcomes = []
     for clear in (False, True):
         system = build_cider(**kwargs)
@@ -360,7 +360,7 @@ def test_plan_replay_equals_cold_walk(case):
             system.shutdown()
     (replay_ps, replay_ram, replay_result, [replay]) = outcomes[0]
     (cold_ps, cold_ram, cold_result, [cold]) = outcomes[1]
-    assert bool(replay.pop("resolved")) is not valid
+    assert bool(replay.pop("resolved")) is not replays
     assert cold.pop("resolved")
     assert (replay_ps, replay_ram, replay_result, replay) == (
         cold_ps,

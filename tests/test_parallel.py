@@ -273,16 +273,13 @@ def test_closure_over_immutable_values_is_shared():
 
 # -- snapshots: binary images are values every clone shares --------------------
 
-UIKIT = "/System/Library/Frameworks/UIKit.framework/UIKit"
-
-
 def test_clones_share_the_capture_sources_images():
     system = build_cider(start_services=False)
-    vfs = system.kernel.vfs
-    images = [vfs.resolve(path).binary_image for path in (UIKIT, "/bin/hello-ios")]
+    paths = ("/System/Library/Frameworks/UIKit.framework/UIKit", "/bin/hello-ios")
+    images = [system.kernel.vfs.resolve(path).binary_image for path in paths]
     snap = snapshot_systems(system)
     for (clone,) in (snap.clone(), snap.clone()):
-        for path, image in zip((UIKIT, "/bin/hello-ios"), images):
+        for path, image in zip(paths, images):
             assert clone.kernel.vfs.resolve(path).binary_image is image
 
 
