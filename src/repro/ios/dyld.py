@@ -284,8 +284,9 @@ class Dyld:
         #: dependency root (``image.deps``).
         self.plans: Dict[tuple, WalkPlan] = {}
         #: Recordings shared with every snapshot clone of this system.
-        #: With the shared cache, plans stay per system: no workload
-        #: clones such a system.
+        #: With the shared cache, plans stay per system: a cache is not
+        #: a value, so a clone's could change without a re-bind
+        #: noticing, and no workload clones such a system.
         self.book = WalkBook()
 
     def invalidate_closures(self) -> None:
