@@ -6,9 +6,9 @@ syscall number through the calling thread's persona; failures come back as
 exact TLS-layout contract that diplomatic functions must preserve when
 they cross personas (paper §4.3, arbitration step 8).
 
-State (atexit/atfork handler lists) lives in the process's per-library
-state dictionary, so it survives across facade instances and is copied on
-fork like real COW data pages.
+What Bionic and libSystem do identically (``readdir``, ``getaddrinfo``,
+``exit``, the atexit/atfork lists) lives in
+:class:`~repro.persona.libc.LibcCore`.
 """
 
 from __future__ import annotations
@@ -16,27 +16,17 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Tuple
 
 from ..kernel import syscalls_linux as nr
-from ..kernel.files import O_CREAT, O_RDONLY, O_RDWR, O_TRUNC, O_WRONLY
+from ..kernel.files import O_RDONLY
 from ..kernel.process import UserContext
+from ..persona.libc import LibcCore
 
-LIB_STATE_KEY = "bionic"
 
-
-class Bionic:
+class Bionic(LibcCore):
     """The libc facade bound to one user context."""
 
-    def __init__(self, ctx: UserContext) -> None:
-        self._ctx = ctx
-        self._kernel = ctx.kernel
-        self._thread = ctx.thread
+    LIB_STATE_KEY = "bionic"
 
     # -- trap plumbing -----------------------------------------------------------
-
-    def _state(self) -> dict:
-        state = self._ctx.lib_state(LIB_STATE_KEY)
-        state.setdefault("atexit", [])
-        state.setdefault("atfork", [])
-        return state
 
     def _trap(self, number: int, *args: object) -> object:
         # Kernel.trap is looked up per call, never cached, so a
@@ -47,9 +37,11 @@ class Bionic:
             return -1
         return result
 
-    @property
-    def errno(self) -> int:
-        return self._thread.errno
+    def _read_dirent(self, fd: int) -> object:
+        return self._trap(nr.NR_getdents, fd)
+
+    def _exit_trap(self, code: int) -> None:
+        self._trap(nr.NR_exit, code)
 
     # -- identity -----------------------------------------------------------------
 
@@ -66,9 +58,6 @@ class Bionic:
 
     def open(self, path: str, flags: int = O_RDONLY) -> int:
         return self._trap(nr.NR_open, path, flags)
-
-    def creat(self, path: str) -> int:
-        return self._trap(nr.NR_open, path, O_CREAT | O_WRONLY | O_TRUNC)
 
     def close(self, fd: int) -> int:
         return self._trap(nr.NR_close, fd)
@@ -126,20 +115,6 @@ class Bionic:
     ) -> object:
         return self._trap(nr.NR_select, read_fds, write_fds or [], timeout_ns)
 
-    def readdir(self, path: str) -> List[str]:
-        """opendir/readdir/closedir in one convenience call."""
-        fd = self.open(path)
-        if fd == -1:
-            return []
-        names = []
-        while True:
-            name = self._trap(nr.NR_getdents, fd)
-            if name is None or name == -1:
-                break
-            names.append(name)
-        self.close(fd)
-        return names
-
     # -- sockets -------------------------------------------------------------------
 
     def socket(self, domain: int = 1, sock_type: int = 1) -> int:
@@ -184,54 +159,6 @@ class Bionic:
     def socketpair(self) -> object:
         return self._trap(nr.NR_socketpair)
 
-    def getaddrinfo(self, name: str) -> Optional[str]:
-        """Deterministic stub resolver, the Bionic half.
-
-        Encodes a plain-text query, ships it as a real UDP datagram to
-        the in-sim DNS server (10.0.2.3:53) through the same sendto/
-        recvfrom syscalls any app would use, and parses the answer.
-        Returns the address string, or ``None`` (NXDOMAIN).
-
-        Like a real stub resolver it retransmits on a timeout —
-        ``DNS_RETRIES`` sends, ``DNS_TIMEOUT_NS`` apart — then fails
-        over to the secondary server in ``DNS_SERVERS``.  Exhausting
-        every server is a *typed* failure: errno is set to ETIMEDOUT
-        after exactly ``servers x retries x timeout`` of virtual wait,
-        so resolution under 100% loss degrades to a bounded,
-        deterministic delay instead of a hang.
-        """
-        from ..kernel.errno import ETIMEDOUT
-        from ..net.netstack import DNS_PORT, DNS_RETRIES, DNS_SERVERS, DNS_TIMEOUT_NS
-        from ..net.sockets import AF_INET, SOCK_DGRAM
-
-        self._ctx.machine.charge("net_dns_query_cpu")
-        fd = self.socket(AF_INET, SOCK_DGRAM)
-        if fd == -1:
-            return None
-        try:
-            query = b"Q " + name.encode()
-            for server_ip in DNS_SERVERS:
-                for _attempt in range(DNS_RETRIES):
-                    if self.sendto(fd, query, (server_ip, DNS_PORT)) == -1:
-                        return None
-                    ready = self.select([fd], timeout_ns=DNS_TIMEOUT_NS)
-                    if ready == -1:
-                        return None
-                    if not ready[0]:
-                        continue  # timed out: retransmit
-                    result = self.recvfrom(fd, 512)
-                    if result == -1:
-                        return None
-                    answer, _server = result
-                    parts = answer.decode().split()
-                    if parts and parts[0] == "A" and len(parts) == 3:
-                        return parts[2]
-                    return None  # authoritative NXDOMAIN: no failover
-            self._thread.errno = ETIMEDOUT  # every server exhausted
-            return None
-        finally:
-            self.close(fd)
-
     # -- processes ------------------------------------------------------------------
 
     def fork(self, child_body: Callable[[UserContext], object]) -> int:
@@ -254,24 +181,6 @@ class Bionic:
 
     def waitpid(self, pid: int = -1) -> object:
         return self._trap(nr.NR_waitpid, pid)
-
-    def exit(self, code: int = 0) -> None:
-        """Run atexit handlers, then terminate the process."""
-        state = self._state()
-        handlers = state["atexit"]
-        if handlers:
-            self._ctx.machine.charge("atexit_handler", len(handlers))
-            for handler in reversed(list(handlers)):
-                if callable(handler):
-                    handler(self._ctx)
-            handlers.clear()
-        self._trap(nr.NR_exit, code)
-
-    def atexit(self, handler: object) -> None:
-        self._state()["atexit"].append(handler)
-
-    def pthread_atfork(self, handler: object) -> None:
-        self._state()["atfork"].append(handler)
 
     # -- threads ------------------------------------------------------------------------
 
@@ -305,6 +214,3 @@ class Bionic:
 
     def kill(self, pid: int, signum: int) -> int:
         return self._trap(nr.NR_kill, pid, signum)
-
-    def raise_(self, signum: int) -> int:
-        return self.kill(self.getpid(), signum)

@@ -31,6 +31,7 @@ from ..ios.frameworks import install_ios_frameworks, install_shared_cache
 from ..ios.iosurface import cider_iosurface_exports
 from ..ios.libsystem import IOSLibc
 from ..ios.opengles import build_cider_opengles
+from ..kernel.pressure import JETSAM_PRIORITY_SYSTEM
 from ..kernel.syscalls_linux import NR_set_persona, sys_set_persona
 from ..persona import IOS_TLS_LAYOUT, Persona
 from ..xnu import iokit as xnu_iokit
@@ -130,7 +131,6 @@ def enable_cider(
     system: "System",
     fence_bug: bool = True,
     shared_cache: bool = False,
-    start_services: bool = True,
     dcache: bool = False,
     launch_closures: bool = False,
     cow_fork: bool = False,
@@ -189,20 +189,22 @@ def enable_cider(
         # Future-work ablation: the prototype lacked this optimisation.
         install_shared_cache(kernel)
 
-    runtime = IOSRuntime(dyld=dyld, gles_report=report, linked_subsystems=linked)
-    if start_services:
-        runtime.launchd = kernel.start_process(
-            "/sbin/launchd", name="launchd", daemon=True
-        )
-        # launchd sits in the SYSTEM jetsam band: never a pressure victim.
-        from ..kernel.pressure import JETSAM_PRIORITY_SYSTEM
+    system.ios = IOSRuntime(dyld=dyld, gles_report=report, linked_subsystems=linked)
+    return system.ios
 
-        runtime.launchd.jetsam_priority = JETSAM_PRIORITY_SYSTEM
-        # Let launchd reach its steady state (bootstrap port published,
-        # configd/notifyd registered) before any app can run.
-        machine.run()
-    system.ios = runtime
-    return runtime
+
+def start_launchd(system: "System") -> None:
+    """Start launchd and run it to its steady state: the service half of
+    an iOS-capable boot, and of every reboot."""
+    runtime = system.ios
+    runtime.launchd = system.kernel.start_process(
+        "/sbin/launchd", name="launchd", daemon=True
+    )
+    # launchd sits in the SYSTEM jetsam band: never a pressure victim.
+    runtime.launchd.jetsam_priority = JETSAM_PRIORITY_SYSTEM
+    # Let launchd reach its steady state (bootstrap port published,
+    # configd/notifyd registered) before any app can run.
+    system.machine.run()
 
 
 def enable_xnu_native(
@@ -245,14 +247,7 @@ def enable_xnu_native(
     install_ios_frameworks(kernel, shared_cache=True)
     install_ios_binaries(kernel)
 
-    runtime = IOSRuntime(dyld=dyld, linked_subsystems=linked)
+    system.ios = IOSRuntime(dyld=dyld, linked_subsystems=linked)
     if start_services:
-        runtime.launchd = kernel.start_process(
-            "/sbin/launchd", name="launchd", daemon=True
-        )
-        from ..kernel.pressure import JETSAM_PRIORITY_SYSTEM
-
-        runtime.launchd.jetsam_priority = JETSAM_PRIORITY_SYSTEM
-        machine.run()
-    system.ios = runtime
-    return runtime
+        start_launchd(system)
+    return system.ios

@@ -385,7 +385,6 @@ def build_cider(
             sys_,
             fence_bug=fence_bug,
             shared_cache=shared_cache,
-            start_services=False,
             dcache=dcache,
             launch_closures=launch_closures,
             cow_fork=cow_fork,
@@ -396,7 +395,9 @@ def build_cider(
         _userspace(sys_)
 
     def _services(sys_: System) -> None:
-        _start_ios_services(sys_)
+        from .enable import start_launchd
+
+        start_launchd(sys_)
         if with_framework:
             from ..android.framework import boot_android_framework
 
@@ -410,22 +411,6 @@ def build_cider(
     if start_services:
         _services(system)
     return system
-
-
-def _start_ios_services(system: System) -> None:
-    """Start launchd and run it to its steady state — the service half
-    of ``enable_cider``, shared with the reboot path."""
-    from ..kernel.pressure import JETSAM_PRIORITY_SYSTEM
-
-    runtime = system.ios
-    runtime.launchd = system.kernel.start_process(
-        "/sbin/launchd", name="launchd", daemon=True
-    )
-    # launchd sits in the SYSTEM jetsam band: never a pressure victim.
-    runtime.launchd.jetsam_priority = JETSAM_PRIORITY_SYSTEM
-    # Let launchd reach its steady state (bootstrap port published,
-    # configd/notifyd registered) before any app can run.
-    system.machine.run()
 
 
 def build_ipad_mini(with_springboard: bool = False) -> System:

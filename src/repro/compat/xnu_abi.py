@@ -126,37 +126,27 @@ class XNUABI(KernelABI):
     """The foreign kernel ABI (translated on Cider, native on the iPad)."""
 
     def __init__(self, native: bool = False) -> None:
+        super().__init__()
         self.native = native
         self.name = "xnu-native" if native else "xnu"
-        # Per-dispatch cost, resolved to integer picoseconds once by the
-        # kernel's flattener: "translating the syscall into the
+        # Per-dispatch cost, resolved to integer picoseconds once at
+        # persona registration: "translating the syscall into the
         # corresponding Linux syscall" (paper §6.2, +40% on a null
         # syscall) on Cider, the native trap cost on the iPad mini.
         self.dispatch_cost_name = (
             "xnu_native_trap" if native else "xnu_translate_syscall"
         )
-        self.bsd = DispatchTable("xnu-bsd")
-        self.mach = DispatchTable("xnu-mach")
-        self.machdep = DispatchTable("xnu-machdep")
-        self.diag = DispatchTable("xnu-diag")
-        # Built once — the old per-dispatch dict literal was measurable
-        # on the trap-storm benchmark.
-        self._tables_by_class = {
-            "unix": self.bsd,
-            "mach": self.mach,
-            "machdep": self.machdep,
-            "diag": self.diag,
-        }
+        # The four trap classes share the ABI's one handler dict; their
+        # number ranges are disjoint (BSD positive, Mach negative,
+        # machdep/diag in high tagged ranges), and registration checks it.
+        self.bsd = DispatchTable("xnu-bsd", self)
+        self.mach = DispatchTable("xnu-mach", self)
+        self.machdep = DispatchTable("xnu-machdep", self)
+        self.diag = DispatchTable("xnu-diag", self)
         _register_bsd(self.bsd, native)
         _register_mach(self.mach)
         _register_machdep(self.machdep)
         _register_diag(self.diag)
-
-    def tables(self):
-        # Trap numbers are disjoint across the four classes (BSD positive,
-        # Mach negative, machdep/diag in high tagged ranges), so the
-        # kernel may flatten them into one handler dict.
-        return (self.bsd, self.mach, self.machdep, self.diag)
 
     # The four ways into the kernel.
     def classify_trap(self, trapno: int) -> str:
@@ -168,32 +158,12 @@ class XNUABI(KernelABI):
             return "diag"
         return "unix"
 
-    def _table_for(self, trap_class: str) -> DispatchTable:
-        return self._tables_by_class[trap_class]
-
-    def dispatch(
-        self, kernel: "Kernel", thread: "KThread", trapno: int, args: tuple
-    ) -> object:
-        kernel.machine.charge(self.dispatch_cost_name)
-        _name, handler = self._table_for(self.classify_trap(trapno)).lookup(
-            trapno
-        )
-        return handler(kernel, thread, *args)
-
     # XNU error convention: (value, carry flag).
     def success(self, value: object) -> object:
         return value, False
 
     def failure(self, errno: int) -> object:
         return errno, True
-
-    def number_of(self, name: str) -> int:
-        for table in (self.bsd, self.mach, self.machdep, self.diag):
-            try:
-                return table.number_of(name)
-            except KeyError:
-                continue
-        raise KeyError(name)
 
 
 # -- BSD wrappers: XNU structs in, Linux implementation underneath ---------------------

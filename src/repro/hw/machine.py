@@ -123,22 +123,6 @@ class Machine:
         else:
             self.clock.charge(self.costs[cost_name] * times)
 
-    def charge_many(self, *cost_names: str) -> None:
-        """Charge several named costs in one clock update.
-
-        Each component was already rounded to picoseconds individually at
-        boot (``compile_ps``), so the total equals N sequential
-        :meth:`charge` calls bit-for-bit while paying one clock update.
-        """
-        table = self._cost_ps
-        try:
-            total = sum(table[name] for name in cost_names)
-        except KeyError:
-            for name in cost_names:
-                self.costs[name]
-            raise  # pragma: no cover - costs[...] always raises first
-        self.clock.charge_ps(total)
-
     def cost_ps(self, cost_name: str) -> int:
         """The precompiled integer-picosecond value of a named cost.
 

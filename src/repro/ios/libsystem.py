@@ -17,25 +17,19 @@ from typing import Callable, List, Optional, Tuple
 
 from ..compat import xnu_abi as xnu
 from ..kernel.process import UserContext
+from ..persona.libc import LibcCore
 from ..xnu.ipc import KERN_SUCCESS, MACH_MSG_SUCCESS, MACH_PORT_NULL, MachMessage
 
-LIB_STATE_KEY = "libSystem"
 
-
-class IOSLibc:
+class IOSLibc(LibcCore):
     """The libSystem facade bound to one user context."""
 
-    def __init__(self, ctx: UserContext) -> None:
-        self._ctx = ctx
-        self._kernel = ctx.kernel
-        self._thread = ctx.thread
+    LIB_STATE_KEY = "libSystem"
 
     # -- trap plumbing ------------------------------------------------------------
 
     def _state(self) -> dict:
-        state = self._ctx.lib_state(LIB_STATE_KEY)
-        state.setdefault("atexit", [])
-        state.setdefault("atfork", [])
+        state = super()._state()
         state.setdefault("next_sync_addr", 0x1000)
         return state
 
@@ -56,9 +50,11 @@ class IOSLibc:
         value, _carry = self._kernel.trap(self._thread, number, args)
         return value
 
-    @property
-    def errno(self) -> int:
-        return self._thread.errno
+    def _read_dirent(self, fd: int) -> object:
+        return self._bsd(xnu.SYS_getdirentries, fd)
+
+    def _exit_trap(self, code: int) -> None:
+        self._bsd(xnu.SYS_exit, code)
 
     # -- identity -------------------------------------------------------------------
 
@@ -75,9 +71,6 @@ class IOSLibc:
 
     def open(self, path: str, flags: int = 0) -> int:
         return self._bsd(xnu.SYS_open, path, flags)
-
-    def creat(self, path: str) -> int:
-        return self._bsd(xnu.SYS_open, path, 0o1101)  # O_CREAT|O_WRONLY|O_TRUNC
 
     def close(self, fd: int) -> int:
         return self._bsd(xnu.SYS_close, fd)
@@ -129,19 +122,6 @@ class IOSLibc:
     ) -> object:
         return self._bsd(xnu.SYS_select, read_fds, write_fds or [], timeout_ns)
 
-    def readdir(self, path: str) -> List[str]:
-        fd = self.open(path)
-        if fd == -1:
-            return []
-        names = []
-        while True:
-            name = self._bsd(xnu.SYS_getdirentries, fd)
-            if name is None or name == -1:
-                break
-            names.append(name)
-        self.close(fd)
-        return names
-
     # -- sockets -----------------------------------------------------------------------
     # The BSD socket family is where XNU and Linux genuinely share an
     # abstraction: these wrappers trap with XNU numbers into the *same*
@@ -190,51 +170,6 @@ class IOSLibc:
     def socketpair(self) -> object:
         return self._bsd(xnu.SYS_socketpair)
 
-    def getaddrinfo(self, name: str) -> Optional[str]:
-        """Deterministic stub resolver, the libSystem half.
-
-        Byte-for-byte the same wire exchange as Bionic's ``getaddrinfo``
-        — same query datagram to 10.0.2.3:53, same answer parse — issued
-        through XNU syscall numbers instead of Linux ones.  The identical
-        behaviour *is* the pass-through demonstration.  The same
-        timeout-retransmit-failover policy applies (``DNS_RETRIES``
-        sends ``DNS_TIMEOUT_NS`` apart per server in ``DNS_SERVERS``),
-        and exhausting every server sets errno to ETIMEDOUT after
-        exactly ``servers x retries x timeout`` of virtual wait — a
-        typed, bounded failure on both personas.
-        """
-        from ..kernel.errno import ETIMEDOUT
-        from ..net.netstack import DNS_PORT, DNS_RETRIES, DNS_SERVERS, DNS_TIMEOUT_NS
-        from ..net.sockets import AF_INET, SOCK_DGRAM
-
-        self._ctx.machine.charge("net_dns_query_cpu")
-        fd = self.socket(AF_INET, SOCK_DGRAM)
-        if fd == -1:
-            return None
-        try:
-            query = b"Q " + name.encode()
-            for server_ip in DNS_SERVERS:
-                for _attempt in range(DNS_RETRIES):
-                    if self.sendto(fd, query, (server_ip, DNS_PORT)) == -1:
-                        return None
-                    ready = self.select([fd], timeout_ns=DNS_TIMEOUT_NS)
-                    if ready == -1:
-                        return None
-                    if not ready[0]:
-                        continue  # timed out: retransmit
-                    result = self.recvfrom(fd, 512)
-                    if result == -1:
-                        return None
-                    answer, _server = result
-                    parts = answer.decode().split()
-                    if parts and parts[0] == "A" and len(parts) == 3:
-                        return parts[2]
-                    return None  # authoritative NXDOMAIN: no failover
-            self._thread.errno = ETIMEDOUT  # every server exhausted
-            return None
-        finally:
-            self.close(fd)
-
     # -- processes ------------------------------------------------------------------------
 
     def fork(self, child_body: Callable[[UserContext], object]) -> int:
@@ -246,7 +181,7 @@ class IOSLibc:
             machine.charge("atfork_handler", len(atfork))
 
         def child_with_handlers(child_ctx: UserContext) -> object:
-            state = child_ctx.lib_state(LIB_STATE_KEY)
+            state = child_ctx.lib_state(self.LIB_STATE_KEY)
             handlers = state.get("atfork", [])
             if handlers:  # child phase
                 child_ctx.machine.charge("atfork_handler", len(handlers))
@@ -263,24 +198,6 @@ class IOSLibc:
 
     def waitpid(self, pid: int = -1) -> object:
         return self._bsd(xnu.SYS_wait4, pid)
-
-    def exit(self, code: int = 0) -> None:
-        """Run the (per-dylib) exit callbacks dyld registered, then exit."""
-        state = self._state()
-        handlers = state["atexit"]
-        if handlers:
-            self._ctx.machine.charge("atexit_handler", len(handlers))
-            for handler in reversed(list(handlers)):
-                if callable(handler):
-                    handler(self._ctx)
-            handlers.clear()
-        self._bsd(xnu.SYS_exit, code)
-
-    def atexit(self, handler: object) -> None:
-        self._state()["atexit"].append(handler)
-
-    def pthread_atfork(self, handler: object) -> None:
-        self._state()["atfork"].append(handler)
 
     # -- resource limits -----------------------------------------------------------------
 
@@ -301,9 +218,6 @@ class IOSLibc:
 
     def kill(self, pid: int, xnu_signum: int) -> int:
         return self._bsd(xnu.SYS_kill, pid, xnu_signum)
-
-    def raise_(self, xnu_signum: int) -> int:
-        return self.kill(self.getpid(), xnu_signum)
 
     # -- threads ------------------------------------------------------------------------------
 

@@ -159,37 +159,11 @@ class Kernel:
         return device
 
     def register_persona(self, persona: Persona, default: bool = False) -> Persona:
-        self._prime_persona(persona)
+        # Resolve the ABI's per-dispatch cost to integer picoseconds once,
+        # so the trap path never does a string cost lookup.
+        cost_name = persona.abi.dispatch_cost_name
+        persona._dispatch_ps = self.machine.cost_ps(cost_name) if cost_name else 0
         return self.personas.register(persona, default)
-
-    def _prime_persona(self, persona: Persona) -> dict:
-        """Flatten the persona's dispatch route into precomputed state.
-
-        Collapses the ABI's dispatch tables into one ``{trapno: handler}``
-        dict (trap numbers are disjoint across tables), resolves the ABI's
-        per-dispatch cost to integer picoseconds, and caches the trace
-        counter key — so the trap fast path does one dict probe instead of
-        a virtual dispatch + per-call dict build + string cost lookups.
-        Table mutations after priming (Cider registers ``set_persona``
-        into every table *post* registration) invalidate the flat cache
-        via :meth:`DispatchTable.subscribe`; the next trap re-primes.
-        """
-        abi = persona.abi
-        flat = {}
-        for table in abi.tables():
-            for number, handler in table.items():
-                flat[number] = handler
-        if not persona._subscribed:
-            for table in abi.tables():
-                table.subscribe(persona.drop_flat_cache)
-            persona._subscribed = True
-        cost_name = abi.dispatch_cost_name
-        persona._dispatch_ps = (
-            self.machine.cost_ps(cost_name) if cost_name else 0
-        )
-        persona._trace_key = ("syscall", abi.name)
-        persona._flat = flat
-        return flat
 
     def register_loader(self, handler: BinfmtHandler) -> None:
         self.loaders.register(handler)
@@ -199,7 +173,7 @@ class Kernel:
     def trap(self, thread: KThread, trapno: int, args: tuple) -> object:
         """Syscall entry: the hot path every simulated syscall takes.
 
-        Hardened: unknown traps surface ENOSYS (via the dispatch table);
+        Hardened: a number the persona's ABI does not bind surfaces ENOSYS;
         non-:class:`SyscallError` Python exceptions from a handler are a
         *kernel oops* — the offending process receives a fatal SIGSYS and
         the traceback is preserved in the trace — they never escape as raw
@@ -261,21 +235,15 @@ class Kernel:
                 result = abi.failure(injected)
             else:
                 try:
-                    flat = persona._flat
-                    if flat is None:
-                        flat = self._prime_persona(persona)
-                    handler = flat.get(trapno)
-                    if handler is not None:
-                        dispatch_ps = persona._dispatch_ps
-                        if dispatch_ps:
-                            clock.charge_ps(dispatch_ps)
-                        value = handler(self, thread, *args)
-                    else:
-                        # Unknown number or bespoke ABI: the ABI's own
-                        # dispatch charges its cost and raises the
-                        # table-specific ENOSYS.
-                        value = abi.dispatch(self, thread, trapno, args)
-                    result = abi.success(value)
+                    # The dispatch cost is paid on a miss too (XNU's
+                    # translation runs before the table says ENOSYS).
+                    dispatch_ps = persona._dispatch_ps
+                    if dispatch_ps:
+                        clock.charge_ps(dispatch_ps)
+                    handler = abi.handlers.get(trapno)
+                    if handler is None:
+                        raise SyscallError(ENOSYS, f"{abi.name}[{trapno}]")
+                    result = abi.success(handler(self, thread, *args))
                 except SyscallError as error:
                     result = abi.failure(error.errno)
                 except Exception as error:  # noqa: BLE001 -- oops containment

@@ -578,7 +578,11 @@ class ProcessManager:
     # -- exit / wait --------------------------------------------------------------
 
     def finalize_process(self, process: Process, code: int) -> None:
-        """Turn the process into a zombie and notify the parent."""
+        """Turn the process into a zombie and notify the parent.
+
+        A process no parent can wait for (none, or one that stopped
+        running) leaves the table at once, as init would reap it, and so
+        do the exiting process's own zombie children."""
         if process.state != "running":
             return
         self.kernel.machine.charge("exit_base")
@@ -613,6 +617,11 @@ class ProcessManager:
             from .signals import SIGCHLD
 
             self.kernel.send_signal_to_process(parent, SIGCHLD, process.pid)
+        else:
+            self._reap(process)
+        for child in process.children:
+            if child.state == "zombie":
+                self._reap(child)
         self.kernel.machine.emit(
             "process", "exit", pid=process.pid, code=code
         )
@@ -635,11 +644,15 @@ class ProcessManager:
                 raise SyscallError(ECHILD, f"waitpid({pid})")
             for child in candidates:
                 if child.state == "zombie":
-                    child.state = "dead"
                     process.children.remove(child)
-                    del self.table[child.pid]
+                    self._reap(child)
                     return child.pid, child.exit_code
             self.kernel.wait_interruptible(process.child_exit_waitq)
+
+    def _reap(self, process: Process) -> None:
+        """Drop a zombie from the table: nobody will wait for it again."""
+        process.state = "dead"
+        del self.table[process.pid]
 
     def live_processes(self) -> List[Process]:
         return [p for p in self.table.values() if p.state == "running"]

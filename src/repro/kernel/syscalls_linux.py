@@ -94,17 +94,9 @@ class LinuxABI(KernelABI):
     name = "linux"
 
     def __init__(self) -> None:
-        self.table = DispatchTable("linux")
+        super().__init__()
+        self.table = DispatchTable("linux", self)
         _register_all(self.table)
-
-    def tables(self):
-        return (self.table,)
-
-    def dispatch(
-        self, kernel: "Kernel", thread: "KThread", trapno: int, args: tuple
-    ) -> object:
-        _name, handler = self.table.lookup(trapno)
-        return handler(kernel, thread, *args)
 
     def classify_trap(self, trapno: int) -> str:
         return "swi"  # Linux/ARM has a single software-interrupt entry
@@ -114,9 +106,6 @@ class LinuxABI(KernelABI):
 
     def failure(self, errno: int) -> object:
         return -errno
-
-    def number_of(self, name: str) -> int:
-        return self.table.number_of(name)
 
 
 # -- handlers -------------------------------------------------------------------

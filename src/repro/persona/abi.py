@@ -2,21 +2,18 @@
 
 Each persona carries a :class:`KernelABI`: the object that owns the
 persona's syscall dispatch tables and its calling/error conventions.  The
-kernel's trap path is ABI-agnostic — it charges entry/exit costs, asks the
-current persona's ABI to dispatch, and lets the ABI encode success or
-failure in its own convention (Linux returns ``-errno``; XNU raises the
-carry flag and returns the positive errno; paper §4.1).
+kernel's trap path is ABI-agnostic — it charges entry/exit costs and the
+ABI's dispatch cost, looks the trap number up in the ABI's ``handlers``
+dict, and lets the ABI encode success or failure in its own convention
+(Linux returns ``-errno``; XNU raises the carry flag and returns the
+positive errno; paper §4.1).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Tuple
+from typing import Callable, Dict, Tuple
 
 from ..kernel.errno import ENOSYS, SyscallError
-
-if TYPE_CHECKING:
-    from ..kernel.kernel import Kernel
-    from ..kernel.process import KThread
 
 #: A syscall handler: handler(kernel, kthread, *args) -> value.
 SyscallHandler = Callable[..., object]
@@ -27,27 +24,17 @@ class KernelABI:
 
     name = "abi"
 
-    #: Cost charged once per dispatch (None for the domestic ABI, which
-    #: dispatches for free; XNU charges translation or native-trap cost).
-    #: The kernel resolves this to integer picoseconds at persona
-    #: registration so the flattened trap path never does a string lookup.
+    #: Cost charged on every dispatch, a miss included (None for the
+    #: domestic ABI, which dispatches for free; XNU charges translation or
+    #: native-trap cost).  The kernel resolves this to integer picoseconds
+    #: at persona registration so the trap path never does a string lookup.
     dispatch_cost_name: "str | None" = None
 
-    def tables(self) -> "Tuple[DispatchTable, ...]":
-        """The ABI's dispatch tables, for flattening.
-
-        ABIs whose ``dispatch`` is exactly *charge dispatch_cost_name once,
-        look the number up in one of these tables, call the handler* return
-        them here and the kernel collapses the whole route into a single
-        precomputed ``{trapno: handler}`` dict.  ABIs with bespoke dispatch
-        logic return ``()`` and keep the virtual-call slow path.
-        """
-        return ()
-
-    def dispatch(
-        self, kernel: "Kernel", thread: "KThread", trapno: int, args: tuple
-    ) -> object:
-        raise NotImplementedError
+    def __init__(self) -> None:
+        #: ``{trap number: handler}`` across every table of this ABI: the
+        #: kernel's one dispatch route.  Each table writes its entries here
+        #: as it registers them.
+        self.handlers: Dict[int, SyscallHandler] = {}
 
     def classify_trap(self, trapno: int) -> str:
         """The trap class of ``trapno`` (Linux has one; XNU has four)."""
@@ -63,40 +50,22 @@ class KernelABI:
 
 
 class DispatchTable:
-    """One numbered syscall table."""
+    """One numbered syscall table of an ABI.
 
-    def __init__(self, name: str) -> None:
+    Every entry also lands in the ABI's ``handlers`` dict, which all of
+    the ABI's tables share, so a trap number binds at most once per ABI.
+    """
+
+    def __init__(self, name: str, abi: KernelABI) -> None:
         self.name = name
+        self._abi_handlers = abi.handlers
         self._handlers: Dict[int, Tuple[str, SyscallHandler]] = {}
-        self._numbers_by_name: Dict[str, int] = {}
-        #: Flat-cache invalidation: the kernel's precomputed per-persona
-        #: handler arrays subscribe here so late registrations (Cider adds
-        #: ``set_persona`` to every table *after* persona registration)
-        #: drop the stale cache instead of missing the new syscall.
-        self._listeners: list = []
-
-    def subscribe(self, listener: Callable[[], None]) -> None:
-        """Call ``listener()`` whenever this table gains a syscall."""
-        if listener not in self._listeners:
-            self._listeners.append(listener)
 
     def register(self, number: int, name: str, handler: SyscallHandler) -> None:
-        if number in self._handlers:
-            raise ValueError(
-                f"{self.name}: syscall {number} already bound to "
-                f"{self._handlers[number][0]!r}"
-            )
+        if number in self._abi_handlers:
+            raise ValueError(f"{self.name}: syscall {number} already bound")
+        self._abi_handlers[number] = handler
         self._handlers[number] = (name, handler)
-        self._numbers_by_name[name] = number
-        for listener in self._listeners:
-            listener()
-
-    def items(self):
-        """(number, handler) pairs — used by the kernel's flattener."""
-        return [
-            (number, handler)
-            for number, (_name, handler) in self._handlers.items()
-        ]
 
     def lookup(self, number: int) -> Tuple[str, SyscallHandler]:
         try:
@@ -104,11 +73,8 @@ class DispatchTable:
         except KeyError:
             raise SyscallError(ENOSYS, f"{self.name}[{number}]") from None
 
-    def number_of(self, name: str) -> int:
-        return self._numbers_by_name[name]
-
     def names(self):
-        return sorted(self._numbers_by_name)
+        return sorted({name for name, _handler in self._handlers.values()})
 
     def __contains__(self, number: int) -> bool:
         return number in self._handlers

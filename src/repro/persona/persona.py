@@ -21,33 +21,18 @@ if TYPE_CHECKING:
 class Persona:
     """An execution mode: a kernel ABI plus a TLS layout."""
 
-    __slots__ = (
-        "name",
-        "abi",
-        "tls_layout",
-        "_flat",
-        "_dispatch_ps",
-        "_trace_key",
-        "_subscribed",
-    )
+    __slots__ = ("name", "abi", "tls_layout", "_dispatch_ps", "_trace_key")
 
     def __init__(self, name: str, abi: "KernelABI", tls_layout: TLSLayout) -> None:
         self.name = name
         self.abi = abi
         self.tls_layout = tls_layout
-        #: Kernel-maintained hot-path caches (see ``Kernel._prime_persona``):
-        #: flattened ``{trapno: handler}`` across the ABI's dispatch tables
-        #: (None = not yet primed / invalidated by a table change), the
-        #: ABI's per-dispatch cost in integer picoseconds, and the
-        #: pre-built ``("syscall", abi.name)`` trace-counter key.
-        self._flat = None
+        #: Hot-path constants for ``Kernel.trap``: the ABI's per-dispatch
+        #: cost in integer picoseconds (resolved by
+        #: ``Kernel.register_persona``) and the pre-built
+        #: ``("syscall", abi.name)`` trace-counter key.
         self._dispatch_ps = 0
         self._trace_key = ("syscall", getattr(abi, "name", "abi"))
-        self._subscribed = False
-
-    def drop_flat_cache(self) -> None:
-        """A dispatch table gained a syscall: the next trap re-primes."""
-        self._flat = None
 
     def __repr__(self) -> str:
         return f"<Persona {self.name!r}>"

@@ -111,26 +111,6 @@ class VirtualClock:
         if self.profiler is not None:
             self.profiler.on_charge(ps)
 
-    def charge_batch(self, ns_list) -> None:
-        """Charge several nanosecond quantities in one clock update.
-
-        Each entry is rounded to picoseconds *individually* — exactly one
-        rounding per component, the same single-rounding discipline as N
-        separate :meth:`charge` calls — then the clock advances once by the
-        exact integer sum.  The profiler sees one ``on_charge`` with the
-        summed ps, which attributes to the same innermost span the N
-        separate charges would have hit.
-        """
-        total = 0
-        for ns in ns_list:
-            if ns < 0:
-                raise ClockError(f"cannot charge negative time: {ns}")
-            total += round(ns * PSEC_PER_NSEC)
-        self._now_ps += total
-        self._charged_ps += total
-        if self.profiler is not None:
-            self.profiler.on_charge(total)
-
     def jump_to(self, deadline_ns: float) -> None:
         """Fast-forward to ``deadline_ns`` (scheduler use only)."""
         ps = round(deadline_ns * PSEC_PER_NSEC)

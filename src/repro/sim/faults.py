@@ -143,10 +143,9 @@ class FaultRule:
     ``nth`` fires only on the nth *matching* occurrence (1-based);
     ``probability`` draws from the plan's seeded RNG; ``window_ns`` is a
     half-open virtual-time interval ``[start, end)``; ``max_fires`` caps
-    total fires.
+    total fires.  A rule built without ``rule_id`` is named ``ruleN`` by
+    its 1-based position in the plan it joins.
     """
-
-    _next_id = 1
 
     def __init__(
         self,
@@ -164,9 +163,6 @@ class FaultRule:
             raise ValueError(f"probability out of range: {probability}")
         if nth is not None and nth < 1:
             raise ValueError("nth is 1-based")
-        if rule_id is None:
-            rule_id = f"rule{FaultRule._next_id}"
-            FaultRule._next_id += 1
         self.rule_id = rule_id
         self.point = point
         self.outcome = outcome
@@ -233,7 +229,9 @@ class FaultPlan:
     def __init__(self, seed: int = 0, rules: Optional[List[FaultRule]] = None):
         self.seed = seed
         self.rng = random.Random(seed)
-        self.rules: List[FaultRule] = list(rules or [])
+        self.rules: List[FaultRule] = []
+        for rule in rules or ():
+            self.add_rule(rule)
         #: Per-point occurrence counters (every check, fired or not).
         self.occurrences: Dict[str, int] = {}
         #: Every fault that fired, in order.
@@ -244,6 +242,8 @@ class FaultPlan:
 
     def add_rule(self, rule: FaultRule) -> FaultRule:
         self.rules.append(rule)
+        if rule.rule_id is None:
+            rule.rule_id = f"rule{len(self.rules)}"
         return rule
 
     def rule(

@@ -137,6 +137,24 @@ class TestForkExecWait:
         assert log["result"] == -1
         assert log["errno"] == E.ECHILD
 
+    def test_processes_nobody_can_wait_for_leave_the_table(self, vanilla):
+        """A program started by the system has no parent to wait for it,
+        and an exiting parent's zombie children can no longer be waited
+        for: both are reaped at exit, as init would."""
+        table = vanilla.kernel.processes.table
+        boot_size = len(table)
+
+        def main(ctx, argv):
+            ctx.libc.fork(lambda cctx: 0)  # never waited for
+            ctx.libc.sched_yield()
+            return 0
+
+        for _ in range(5):
+            assert vanilla.run_program("/system/bin/hello") == 0
+            assert install_and_run(vanilla, "forkleak", main) == 0
+        vanilla.run_until_idle()
+        assert len(table) == boot_size
+
     def test_fork_charges_for_address_space_pages(self, vanilla):
         """A bigger image must make fork strictly more expensive."""
         times = {}

@@ -146,6 +146,22 @@ def test_fault_log_is_byte_identical_for_same_seed():
     assert isinstance(build_log(5), bytes)
 
 
+def test_unnamed_rules_are_numbered_per_plan():
+    """An unnamed rule is named by its position in its own plan, so two
+    identically built plans log identical bytes in one process."""
+
+    def build_log():
+        unnamed = FaultRule("vfs.open", FaultOutcome.errno(EIO))
+        plan = FaultPlan(seed=1, rules=[unnamed])
+        plan.rule("syscall.enter", FaultOutcome.errno(EIO))
+        plan.check("syscall.enter", nr=20)
+        return plan.fault_log()
+
+    first = build_log()
+    assert first == build_log()
+    assert b" rule2 " in first
+
+
 def test_fault_log_format():
     plan = FaultPlan(seed=1)
     plan.rule("vfs.open", FaultOutcome.errno(EIO), rule_id="rid")

@@ -3,7 +3,7 @@
 Two kinds of change are covered here, with very different contracts:
 
 * **Wall-clock-only** optimisations (precompiled picosecond charges,
-  batched charging, flattened trap dispatch).  Contract: virtual time is
+  one flat handler dict per ABI).  Contract: virtual time is
   *bit-identical* to the unoptimised arithmetic — these tests assert
   exact equality against the historical float path.
 * **Virtual-time ablations** (VFS dentry cache, dyld launch closures,
@@ -16,6 +16,7 @@ Two kinds of change are covered here, with very different contracts:
 import pytest
 
 from repro.cider.system import build_cider, build_vanilla_android
+from repro.compat.xnu_abi import TRAP_mach_reply_port, XNUABI
 from repro.hw.profiles import nexus7
 from repro.kernel import errno as E
 from repro.kernel.errno import SyscallError
@@ -24,14 +25,13 @@ from repro.kernel.vfs import DCACHE_ENTRY_BYTES, VFS, RegularFile
 from repro.sim import ResourceEnvelope
 from repro.sim.clock import VirtualClock, ns_to_ps
 from repro.sim.costs import UnknownCostError
-from repro.sim.errors import ClockError
 
 from .helpers import run_elf, run_macho
 
 MB = 1 << 20
 
 
-# -- precompiled / batched charging (wall-clock only; bit-identical) -------------
+# -- precompiled charging (wall-clock only; bit-identical) ----------------------
 
 
 class TestChargeFastPaths:
@@ -41,22 +41,6 @@ class TestChargeFastPaths:
             a.charge(ns)
             b.charge_ps(ns_to_ps(ns))
         assert a.now_ps == b.now_ps
-
-    def test_charge_batch_single_rounding_conservation(self):
-        """Batching N charges must advance the clock by exactly the sum of
-        the N *individually rounded* picosecond amounts — no accumulated
-        float error, no double rounding."""
-        amounts = [0.3] * 7 + [123.456789, 0.0015, 90.0]
-        a, b = VirtualClock(), VirtualClock()
-        for ns in amounts:
-            a.charge(ns)
-        b.charge_batch(amounts)
-        assert a.now_ps == b.now_ps
-
-    def test_charge_batch_rejects_negative(self):
-        clock = VirtualClock()
-        with pytest.raises(ClockError):
-            clock.charge_batch([1.0, -0.5])
 
     def test_machine_charge_uses_precompiled_ps(self):
         m1 = nexus7().boot()
@@ -75,14 +59,6 @@ class TestChargeFastPaths:
         m2.clock.charge(m2.costs["fork_per_page"] * 115)
         assert m1.clock.now_ps == m2.clock.now_ps
 
-    def test_charge_many_matches_sequential(self):
-        m1 = nexus7().boot()
-        m2 = nexus7().boot()
-        m1.charge_many("syscall_entry", "syscall_exit")
-        m2.charge("syscall_entry")
-        m2.charge("syscall_exit")
-        assert m1.clock.now_ps == m2.clock.now_ps
-
     def test_unknown_cost_still_raises(self):
         machine = nexus7().boot()
         with pytest.raises(UnknownCostError):
@@ -91,27 +67,42 @@ class TestChargeFastPaths:
             machine.charge("no_such_cost", 3)
 
 
-# -- flattened trap dispatch -----------------------------------------------------
+# -- one flat handler dict per ABI ------------------------------------------------
 
 
 class TestFlatDispatch:
-    def test_registration_after_priming_invalidates_flat_cache(self):
-        system = build_vanilla_android()
+    def test_syscall_registered_after_the_first_trap_dispatches(self):
+        """A number bound after a persona has trapped dispatches on the
+        next trap, on both ABIs: every table writes into the handler dict
+        the trap path reads, so nothing can go stale."""
+        system = build_cider()
         try:
-            persona = system.kernel.personas.get("android")
-            run_elf(system, lambda ctx: ctx.libc.getpid())
-            assert persona._flat is not None  # primed by the trap path
-            persona.abi.table.register(99_999, "pr4_test", lambda *a: 0)
-            assert persona._flat is None  # listener dropped the cache
-            # Re-primed on the next trap, including the new entry.
-            run_elf(system, lambda ctx: ctx.libc.getpid())
-            assert 99_999 in persona._flat
+            kernel = system.kernel
+            linux = kernel.personas.get("android").abi
+            xnu = kernel.personas.get("ios").abi
+            trap = lambda ctx: ctx.kernel.trap(ctx.thread, 99_999, ())
+            assert run_elf(system, trap) == -E.ENOSYS
+            assert run_macho(system, trap) == (E.ENOSYS, True)
+            linux.table.register(99_999, "late_linux", lambda *a: "linux")
+            xnu.bsd.register(99_999, "late_xnu", lambda *a: "xnu")
+            assert run_elf(system, trap) == "linux"
+            assert run_macho(system, trap) == ("xnu", False)
         finally:
             system.shutdown()
 
+    def test_number_bound_by_another_table_of_the_abi_is_refused(self):
+        """XNU's four trap classes share one handler dict, so a number one
+        table binds cannot be bound again by another."""
+        xnu = XNUABI()
+        handler = xnu.handlers[TRAP_mach_reply_port]
+        with pytest.raises(ValueError, match="already bound"):
+            xnu.bsd.register(TRAP_mach_reply_port, "shadow", lambda *a: 0)
+        assert TRAP_mach_reply_port not in xnu.bsd
+        assert xnu.handlers[TRAP_mach_reply_port] is handler
+
     def test_unknown_trap_still_enosys(self):
-        # The Linux ABI converts the miss to a ``-errno`` return; the flat
-        # dispatch miss must fall back to the table lookup that does so.
+        # A miss in the handler dict raises ENOSYS inside the trap, and the
+        # Linux ABI converts it to a ``-errno`` return.
         system = build_vanilla_android()
         try:
             body = lambda ctx: ctx.kernel.trap(ctx.thread, 77_777, ())

@@ -13,6 +13,7 @@ import hashlib
 import pytest
 
 from repro.cider.system import System, build_cider
+from repro.kernel.errno import ENOSYS
 from repro.sim.parallel import (
     WorkerError,
     fork_available,
@@ -24,6 +25,8 @@ from repro.sim.snapshot import (
     assert_quiescent,
     snapshot_systems,
 )
+
+from .helpers import run_elf
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="requires os.fork"
@@ -227,14 +230,16 @@ def test_device_add_publishes_into_the_clones_own_iokit_registry():
     assert "testdev0" not in _iokit_names(b)
 
 
-def test_dispatch_table_register_invalidates_the_clones_own_persona():
+def test_syscall_registered_in_a_clone_is_enosys_in_its_sibling():
     snap = snapshot_systems(build_cider(start_services=False))
     (a,) = snap.clone()
-    assert a.run_program("/system/bin/hello") == 0  # primes the flat cache
-    persona = a.kernel.personas.get("android")
-    assert persona._flat is not None
-    persona.abi.table.register(9999, "testcall", lambda *args: 0)
-    assert persona._flat is None
+    (b,) = snap.clone()
+    a.kernel.personas.get("android").abi.table.register(
+        9999, "testcall", lambda *args: "bound"
+    )
+    trap = lambda ctx: ctx.kernel.trap(ctx.thread, 9999, ())
+    assert run_elf(a, trap) == "bound"
+    assert run_elf(b, trap) == -ENOSYS
 
 
 def test_closure_over_system_state_fails_at_capture():

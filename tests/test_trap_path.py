@@ -37,8 +37,8 @@ SRC = os.path.dirname(os.path.dirname(repro.__file__))
 ROOT = os.path.dirname(SRC)
 TRANSCRIPT = os.path.join(ROOT, "benchmarks", "trap_path_transcript.txt")
 
-#: A trap number no table binds in either ABI (ENOSYS through
-#: ``abi.dispatch``), and the number the oops handler is registered at.
+#: A trap number no table binds in either ABI (ENOSYS from
+#: ``Kernel.trap``), and the number the oops handler is registered at.
 UNKNOWN_NR = 99999
 OOPS_NR = 900
 #: Where the frame-recording and process-finishing handlers are registered.
@@ -67,6 +67,13 @@ def _fault_plan(pid):
 
 def _oops(kernel, thread, *args):
     raise RuntimeError("trap-path oops")
+
+
+def _table(ctx, macho):
+    """The calling persona's numbered syscall table: XNU's BSD table for
+    a Mach-O program, Linux's one table for an ELF one."""
+    abi = ctx.thread.persona.abi
+    return abi.bsd if macho else abi.table
 
 
 def _script(lines, regime, macho):
@@ -118,9 +125,7 @@ def _script(lines, regime, macho):
         step("sched_yield", libc.sched_yield())
         step("getpid", libc.getpid())
         lines.append(f"  delivered        {delivered!r}")
-        ctx.thread.persona.abi.tables()[0].register(
-            OOPS_NR, "trap_path_oops", _oops
-        )
+        _table(ctx, macho).register(OOPS_NR, "trap_path_oops", _oops)
         step("oops", raw(OOPS_NR))  # never returns: SIGSYS
         return 0
 
@@ -233,9 +238,7 @@ def test_facade_enters_kernel_trap_directly(macho, observed):
                 seen.append(names)
                 return 0
 
-            ctx.thread.persona.abi.tables()[0].register(
-                FRAMES_NR, "trap_path_frames", recorder
-            )
+            _table(ctx, macho).register(FRAMES_NR, "trap_path_frames", recorder)
             libc = ctx.libc
             return (libc._bsd if macho else libc._trap)(FRAMES_NR)
 
@@ -260,9 +263,7 @@ def test_trap_exit_ends_a_process_that_stopped_running(macho):
         after = []
 
         def main(ctx, argv):
-            ctx.thread.persona.abi.tables()[0].register(
-                FINISH_NR, "trap_path_finish", _finish
-            )
+            _table(ctx, macho).register(FINISH_NR, "trap_path_finish", _finish)
             libc = ctx.libc
             (libc._bsd if macho else libc._trap)(FINISH_NR)
             after.append("returned")
