@@ -2,11 +2,14 @@
 
 The minimal ELF user space every Android configuration ships: libc, a few
 support libraries, ``/system/bin/sh`` (used by lmbench's fork+sh), and a
-hello-world (the exec'd child in fork+exec measurements).
+hello-world (the exec'd child in fork+exec measurements).  Each image is
+built once per process: an image is a value, so every boot installs the
+same object.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from typing import TYPE_CHECKING, List
 
 from ..binfmt import BinaryImage, elf_executable, elf_library
@@ -51,22 +54,27 @@ def hello_main(ctx: UserContext, argv: List[str]) -> int:
     return 0
 
 
+@cache
 def make_libc_image() -> BinaryImage:
     return elf_library("libc.so", text_kb=480, data_kb=64)
 
 
+@cache
 def make_libm_image() -> BinaryImage:
     return elf_library("libm.so", text_kb=220, data_kb=16)
 
 
+@cache
 def make_liblog_image() -> BinaryImage:
     return elf_library("liblog.so", text_kb=40, data_kb=8)
 
 
+@cache
 def make_sh_image() -> BinaryImage:
     return elf_executable("sh", sh_main, text_kb=280, data_kb=32)
 
 
+@cache
 def make_hello_elf_image() -> BinaryImage:
     return elf_executable("hello", hello_main, text_kb=12, data_kb=4)
 

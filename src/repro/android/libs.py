@@ -2,12 +2,15 @@
 
 These ELF images are what the diplomat generator scans ("searched through
 a directory of Android ELF shared objects for a matching export") and
-what diplomats load into foreign processes at call time.
+what diplomats load into foreign processes at call time.  Each image is
+built once per process: an image is a value, so every boot installs the
+same object.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List
+from functools import cache
+from typing import TYPE_CHECKING, Dict
 
 from ..binfmt import BinaryImage, elf_library
 from .egl import egl_exports
@@ -21,12 +24,14 @@ if TYPE_CHECKING:
     from ..kernel.kernel import Kernel
 
 
+@cache
 def make_libgles_image() -> BinaryImage:
     return elf_library(
         "libGLESv2.so", functions=gles_exports(), text_kb=700, data_kb=64
     )
 
 
+@cache
 def make_libegl_image() -> BinaryImage:
     return elf_library(
         "libEGL.so",
@@ -37,6 +42,7 @@ def make_libegl_image() -> BinaryImage:
     )
 
 
+@cache
 def make_libeglbridge_image() -> BinaryImage:
     return elf_library(
         "libEGLbridge.so",
@@ -47,18 +53,21 @@ def make_libeglbridge_image() -> BinaryImage:
     )
 
 
+@cache
 def make_libgralloc_image() -> BinaryImage:
     return elf_library(
         "libgralloc.so", functions=gralloc_exports(), text_kb=120, data_kb=16
     )
 
 
+@cache
 def make_libskia_image() -> BinaryImage:
     return elf_library(
         "libskia.so", functions=skia_exports(), text_kb=1800, data_kb=128
     )
 
 
+@cache
 def make_libnotify_image() -> BinaryImage:
     return elf_library(
         "libandroidnotify.so", functions=notify_exports(), text_kb=48, data_kb=8

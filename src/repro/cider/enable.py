@@ -12,9 +12,9 @@ overlay, the framework closure, and the background services.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Optional
+from functools import cache
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
-from .. import xnu as xnu_pkg
 from ..android.libs import install_android_graphics_libs
 from ..android.surfaceflinger import SurfaceFlinger
 from ..compat.macho_loader import MachOLoader
@@ -40,6 +40,7 @@ from ..xnu import pthread_support as xnu_psynch
 from ..xnu import sync_sema as xnu_sema
 
 if TYPE_CHECKING:
+    from ..binfmt import BinaryImage
     from ..diplomacy.generator import GenerationReport
     from ..kernel.process import Process
     from .system import System
@@ -112,8 +113,8 @@ def _interpose_graphics(kernel) -> "GenerationReport":
     gles_path = "/System/Library/Frameworks/OpenGLES.framework/OpenGLES"
     gles_node = vfs.resolve(gles_path)
     domestic = install_android_graphics_libs(kernel)
-    replacement, report = build_cider_opengles(
-        gles_node.binary_image, list(domestic.values())
+    replacement, report = _cider_opengles(
+        gles_node.binary_image, tuple(domestic.values())
     )
     gles_node.binary_image = replacement
 
@@ -121,10 +122,24 @@ def _interpose_graphics(kernel) -> "GenerationReport":
         "/System/Library/PrivateFrameworks/IOSurface.framework/IOSurface"
     )
     iosurface_node = vfs.resolve(iosurface_path)
-    iosurface_node.binary_image = iosurface_node.binary_image.interposed(
-        cider_iosurface_exports()
-    )
+    iosurface_node.binary_image = _cider_iosurface(iosurface_node.binary_image)
     return report
+
+
+@cache
+def _cider_opengles(
+    native: "BinaryImage", domestic: Tuple["BinaryImage", ...]
+) -> Tuple["BinaryImage", "GenerationReport"]:
+    """Cider's OpenGL ES library for these input images (keyed by
+    identity), built once per process: images are values, and the
+    generation report every boot shares with it is only ever read."""
+    return build_cider_opengles(native, list(domestic))
+
+
+@cache
+def _cider_iosurface(native: "BinaryImage") -> "BinaryImage":
+    """The interposed IOSurface image, built once per process."""
+    return native.interposed(cider_iosurface_exports())
 
 
 def enable_cider(
@@ -170,7 +185,9 @@ def enable_cider(
     install_iokit_linux_glue(kernel, kernel.iokit, kernel.cxx_runtime)
 
     # Mach-O loading: kernel loader + user-space dyld.
-    dyld = Dyld(use_shared_cache=shared_cache, use_closures=launch_closures)
+    dyld = Dyld(
+        machine.costs, use_shared_cache=shared_cache, use_closures=launch_closures
+    )
     kernel.dyld = dyld  # evict_shared_cache invalidates closures through this
     kernel.register_loader(MachOLoader(IOSLibc, dyld))
 
@@ -207,11 +224,7 @@ def start_launchd(system: "System") -> None:
     system.machine.run()
 
 
-def enable_xnu_native(
-    system: "System",
-    with_springboard: bool = False,
-    start_services: bool = True,
-) -> IOSRuntime:
+def enable_xnu_native(system: "System") -> IOSRuntime:
     """Configure the iPad-mini kernel: the XNU-native personality.
 
     The same foreign subsystem *source* is bound in (it is native here);
@@ -233,7 +246,10 @@ def enable_xnu_native(
     install_iokit_linux_glue(kernel, kernel.iokit, kernel.cxx_runtime)
     install_apple_graphics_services(kernel, kernel.iokit, kernel.cxx_runtime)
 
-    dyld = Dyld(use_shared_cache=machine.profile.has_quirk("dyld_shared_cache"))
+    dyld = Dyld(
+        machine.costs,
+        use_shared_cache=machine.profile.has_quirk("dyld_shared_cache"),
+    )
     kernel.dyld = dyld  # evict_shared_cache invalidates closures through this
     kernel.register_loader(MachOLoader(IOSLibc, dyld))
 
@@ -248,6 +264,5 @@ def enable_xnu_native(
     install_ios_binaries(kernel)
 
     system.ios = IOSRuntime(dyld=dyld, linked_subsystems=linked)
-    if start_services:
-        start_launchd(system)
+    start_launchd(system)
     return system.ios

@@ -32,7 +32,7 @@ from ..kernel.kernel import Kernel
 from ..kernel.loader import ElfLoader
 from ..kernel.process import Process
 from ..kernel.syscalls_linux import LinuxABI
-from ..persona import ANDROID_TLS_LAYOUT, IOS_TLS_LAYOUT, Persona
+from ..persona import ANDROID_TLS_LAYOUT, Persona
 
 
 class System:
@@ -413,12 +413,12 @@ def build_cider(
     return system
 
 
-def build_ipad_mini(with_springboard: bool = False) -> System:
+def build_ipad_mini() -> System:
     """Configuration 4: iOS binaries on the iPad mini (XNU-native)."""
     machine = ipad_mini().boot()
     kernel = Kernel(machine, name="xnu").boot()
     from .enable import enable_xnu_native
 
     system = System(machine, kernel, "ipad-mini")
-    enable_xnu_native(system, with_springboard=with_springboard)
+    enable_xnu_native(system)
     return system

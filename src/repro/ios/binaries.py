@@ -2,10 +2,13 @@
 
 The Mach-O counterparts of :mod:`repro.android.binaries` — the iOS test
 binaries the paper's fork+exec(ios) and fork+sh(ios) measurements spawn.
+Each image is built once per process: an image is a value, so every boot
+installs the same object.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from typing import TYPE_CHECKING, List
 
 from ..binfmt import BinaryImage, macho_executable
@@ -68,36 +71,42 @@ def sh_entry(ctx: "UserContext", argv: List[str]) -> int:
     return code
 
 
+@cache
 def make_launchd_image() -> BinaryImage:
     return macho_executable(
         "launchd", launchd_entry, deps=[LIBSYSTEM_DEP], text_kb=512
     )
 
 
+@cache
 def make_configd_image() -> BinaryImage:
     return macho_executable(
         "configd", configd_entry, deps=[LIBSYSTEM_DEP], text_kb=384
     )
 
 
+@cache
 def make_notifyd_image() -> BinaryImage:
     return macho_executable(
         "notifyd", notifyd_entry, deps=[LIBSYSTEM_DEP], text_kb=256
     )
 
 
+@cache
 def make_syslogd_image() -> BinaryImage:
     return macho_executable(
         "syslogd", syslogd_entry, deps=[LIBSYSTEM_DEP], text_kb=192
     )
 
 
+@cache
 def make_hello_macho_image() -> BinaryImage:
     return macho_executable(
         "hello-ios", hello_entry, deps=[LIBSYSTEM_DEP], text_kb=16
     )
 
 
+@cache
 def make_sh_macho_image() -> BinaryImage:
     return macho_executable("sh-ios", sh_entry, deps=[LIBSYSTEM_DEP], text_kb=300)
 

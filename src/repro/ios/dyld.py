@@ -26,9 +26,11 @@ one VFS: the directories and file nodes its lookups read there.  While
 the binding holds, an exec replays the recording instead of walking:
 the same picoseconds and the same maps in the same order, so the
 simulated walk, and its virtual time, stay as above.  The recordings
-are kept in a :class:`WalkBook` that every boot-snapshot clone of the
-booted system shares, so a clone re-binds a sibling's recording to its
-own VFS instead of walking cold.
+are kept in a :class:`WalkBook`, one per cost table in the process,
+shared by every dyld on a machine with that table: a fresh boot, a
+reboot or a boot-snapshot clone re-binds what an earlier boot or a
+sibling recorded to its own VFS instead of walking cold, since every
+boot installs the same image objects.
 
 A replay crosses only ``mm.map`` and ``mm.reserve`` itself (through
 ``map_vma``, at the cold walk's clock readings).  It only counts the
@@ -49,6 +51,7 @@ if TYPE_CHECKING:
     from ..kernel.mm import VMA
     from ..kernel.process import UserContext
     from ..kernel.vfs import VFS, Inode
+    from ..sim.costs import CostModel
 
 #: Where iOS keeps the prelinked cache.
 SHARED_CACHE_PATH = (
@@ -194,15 +197,27 @@ class WalkBook(dict):
     """Dependency root -> the latest :class:`WalkRecording` of it.
 
     A host-side memo that no simulated state reads: every use re-binds
-    the recording and checks it against the VFS at hand.  Boot-snapshot
-    clones share one book by reference (and fork-server workers inherit
-    it), so a recording any clone makes serves them all.  Its entries
-    are not attributes, so the capture check does not walk them.
+    the recording and checks it against the VFS at hand.  Every dyld
+    without the shared cache on a machine with the same cost table
+    shares one book (:func:`book_for`), and so does every boot-snapshot
+    clone of such a system (fork-server workers inherit it), so a
+    recording any boot, reboot or clone makes serves them all.  Its
+    entries are not attributes, so the capture check does not walk them.
     """
 
     __slots__ = ()
 
     snapshot_shared = True
+
+
+#: The process's books, keyed by cost table as a value: a recording's
+#: picoseconds are what that table charges for its lookups, maps and links.
+_BOOKS: Dict[frozenset, WalkBook] = {}
+
+
+def book_for(costs: "CostModel") -> WalkBook:
+    """The book every dyld on a machine charging ``costs`` shares."""
+    return _BOOKS.setdefault(costs.table(), WalkBook())
 
 
 def _lookup(
@@ -262,10 +277,14 @@ class DyldStats:
 
 
 class Dyld:
-    """One dyld configuration shared by every Mach-O exec on a kernel."""
+    """One dyld configuration shared by every Mach-O exec on a kernel,
+    whose machine charges ``costs``."""
 
     def __init__(
-        self, use_shared_cache: bool = False, use_closures: bool = False
+        self,
+        costs: "CostModel",
+        use_shared_cache: bool = False,
+        use_closures: bool = False,
     ) -> None:
         self.use_shared_cache = use_shared_cache
         #: dyld3-style launch closures (warm-path ablation, off by
@@ -283,11 +302,11 @@ class Dyld:
         #: Host-side walk plans bound to this system's VFS, one per
         #: dependency root (``image.deps``).
         self.plans: Dict[tuple, WalkPlan] = {}
-        #: Recordings shared with every snapshot clone of this system.
-        #: With the shared cache, plans stay per system: a cache is not
-        #: a value, so a clone's could change without a re-bind
-        #: noticing, and no workload clones such a system.
-        self.book = WalkBook()
+        #: Recordings shared with every dyld in the process on a machine
+        #: with the same cost table, snapshot clones included.  With the
+        #: shared cache, plans stay per system: a cache is not a value,
+        #: so another system's could differ without a re-bind noticing.
+        self.book = WalkBook() if use_shared_cache else book_for(costs)
 
     def invalidate_closures(self) -> None:
         """Drop every prebuilt closure and move the cache generation on,

@@ -15,6 +15,7 @@ measurements.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from ..binfmt import KB, MB, BinaryImage, macho_dylib
@@ -163,8 +164,10 @@ def _functional_exports(lib_name: str) -> Optional[Dict[str, Callable]]:
     return None
 
 
-def build_framework_images() -> List[Tuple[str, BinaryImage]]:
-    """Construct the full (install_path, image) closure."""
+@cache
+def build_framework_images() -> Tuple[Tuple[str, BinaryImage], ...]:
+    """The full (install_path, image) closure, built once per process:
+    images are values, so every boot installs the same objects."""
     major_kb = sum(kb for _, _, kb in _MAJOR_LIBS)
     filler_count = TARGET_LIBRARY_COUNT - len(_MAJOR_LIBS)
     filler_total_kb = TARGET_TOTAL_MB * 1024 - major_kb
@@ -181,7 +184,7 @@ def build_framework_images() -> List[Tuple[str, BinaryImage]]:
     # pulls the entire base closure (how a real SDK app ends up with ~115
     # images resident before main()).
     umbrella_deps = [path for _name, path, _kb in libs[1:]]
-    return [
+    return tuple(
         (
             path,
             macho_dylib(
@@ -194,7 +197,7 @@ def build_framework_images() -> List[Tuple[str, BinaryImage]]:
             ),
         )
         for index, (name, path, size_kb) in enumerate(libs)
-    ]
+    )
 
 
 def install_ios_frameworks(

@@ -52,7 +52,6 @@ from .signals import (
 from .vfs import VFS, DeviceNode, Directory, RegularFile
 
 if TYPE_CHECKING:
-    from ..binfmt import BinaryImage
     from ..hw.machine import Machine
 
 

@@ -27,7 +27,7 @@ from ..persona import Persona, TLSArea
 from .errno import EAGAIN, ECHILD, ENOEXEC, ESRCH, SyscallError
 from .files import FDTable
 from .mm import AddressSpace
-from .signals import SIGABRT, SIGSEGV, SigInfo, SignalState, PendingSignals
+from .signals import SIGABRT, SIGSEGV, SignalState, PendingSignals
 
 if TYPE_CHECKING:
     from ..binfmt import BinaryImage
@@ -299,7 +299,7 @@ class ProcessManager:
 
     def get(self, pid: int) -> Process:
         process = self.table.get(pid)
-        if process is None or process.state == "dead":
+        if process is None:
             raise SyscallError(ESRCH, f"pid {pid}")
         return process
 

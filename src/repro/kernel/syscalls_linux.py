@@ -14,13 +14,11 @@ from typing import TYPE_CHECKING, Callable, List, Optional
 from ..net.sockets import AF_INET, AF_UNIX, SOCK_STREAM, INetSocket
 from ..persona.abi import DispatchTable, KernelABI
 from ..sim.resources import RLIMIT_AS, RLIMIT_NOFILE
-from .errno import EINVAL, ENOTSOCK, ENOTTY, EOPNOTSUPP, ESRCH, SyscallError
+from .errno import EINVAL, ENOTSOCK, ENOTTY, EOPNOTSUPP, SyscallError
 from .files import (
     DeviceHandle,
     DirectoryHandle,
     FDTable,
-    O_CREAT,
-    O_EXCL,
     OpenFile,
     fd_alloc,
 )

@@ -281,6 +281,11 @@ class CostModel:
 
         return {name: ns_to_ps(ns) for name, ns in self._costs.items()}
 
+    def table(self) -> frozenset:
+        """The costs as a value: equal for two models that charge the
+        same, whatever their names."""
+        return frozenset(self._costs.items())
+
     def derive(self, name: str, **overrides: float) -> "CostModel":
         """A copy of this model with ``overrides`` applied."""
         return CostModel(overrides, base=self._costs, name=name)

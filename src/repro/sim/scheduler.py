@@ -662,11 +662,14 @@ class Scheduler:
         for waitq in waitqs:
             waitq._add(me)
         timer = None if timeout_ns is None else self._arm_timer(me, timeout_ns)
-        self._dispatch(me)
+        try:
+            self._dispatch(me)
+        finally:
+            # Also when a kill unwinds it: no queue may keep a dead thread.
+            me.wait_channel = None
+            for waitq in waitqs:
+                waitq._discard(me)
         me.state = ThreadState.RUNNING
-        me.wait_channel = None
-        for waitq in waitqs:
-            waitq._discard(me)
         if timer is None:
             return True
         timer.cancelled = True

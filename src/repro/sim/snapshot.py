@@ -44,10 +44,12 @@ groups:
   module (``len``, ``math.sqrt``) and instances of classes that declare
   ``snapshot_shared = True``: value objects such as ``Segment``,
   ``CompilerProfile``, binary images with their ``Symbol`` exports and
-  the ``Diplomat`` stubs those export.  They hold no per-run state.
-  One shared object is a host-side memo rather than a value: dyld's
-  ``WalkBook`` of recorded walks (``repro.ios.dyld``), which every clone
-  of a system adds to and reads, and which no simulated state reads.
+  the ``Diplomat`` stubs those export.  They hold no per-run state (a
+  fresh boot installs the same images too).  One shared object is a
+  host-side memo rather than a value: dyld's ``WalkBook`` of recorded
+  walks (``repro.ios.dyld``), which every clone of a system, and every
+  other boot on a machine with the same cost table, adds to and reads,
+  and which no simulated state reads.
 * **Re-created on load**: a ``hashlib`` object is branched per clone
   with ``.copy()``; a scheduler's controller gets a fresh held gate; a
   finished ``SimThread`` loads as a tombstone with neither gate, worker

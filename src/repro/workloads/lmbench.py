@@ -16,6 +16,7 @@ stdout parsing.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Dict, List
 
 from ..binfmt import BinaryImage, elf_executable, macho_executable
@@ -333,7 +334,14 @@ LMBENCH_TESTS = {
 
 
 def lmbench_suite(binary_format: str) -> Dict[str, BinaryImage]:
-    """Compile the suite: ``binary_format`` is "elf" or "macho"."""
+    """Compile the suite: ``binary_format`` is "elf" or "macho".  Each
+    format is compiled once per process (images are values); the dict is
+    the caller's own."""
+    return dict(_compiled_suite(binary_format))
+
+
+@cache
+def _compiled_suite(binary_format: str) -> Dict[str, BinaryImage]:
     suite: Dict[str, BinaryImage] = {}
     for name, entry in LMBENCH_TESTS.items():
         if binary_format == "elf":

@@ -4,7 +4,10 @@
 # except that its relative imports are absolute, so both implementations
 # raise the same exception classes; repro.cider.system.run_world of the
 # same commit follows at the end, likewise verbatim.  Do not edit it to
-# follow the live scheduler: its value is that it does not change.
+# follow the live scheduler: its value is that it does not change.  One
+# bug fix made since is applied here as in the live scheduler: a timed or
+# multi-queue block leaves every queue it waited on in a ``finally``, so a
+# killed thread unwinding from it stays listed on none of them.
 
 """Deterministic cooperative scheduler.
 
@@ -411,11 +414,13 @@ class Scheduler:
         me.wait_channel = waitq
         waitq._add(me)
         timer = self._arm_timer(me, timeout_ns)
-        self._dispatch(me)
+        try:
+            self._dispatch(me)
+        finally:
+            me.wait_channel = None
+            waitq._discard(me)
         me.state = ThreadState.RUNNING
-        me.wait_channel = None
         timer.cancelled = True
-        waitq._discard(me)
         return not timer.fired
 
     def block_on_any(
@@ -436,11 +441,13 @@ class Scheduler:
         timer = None
         if timeout_ns is not None:
             timer = self._arm_timer(me, timeout_ns)
-        self._dispatch(me)
+        try:
+            self._dispatch(me)
+        finally:
+            me.wait_channel = None
+            for waitq in waitqs:
+                waitq._discard(me)
         me.state = ThreadState.RUNNING
-        me.wait_channel = None
-        for waitq in waitqs:
-            waitq._discard(me)
         if timer is None:
             return True
         timer.cancelled = True

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 import repro
 from repro.binfmt import Arch, BinaryFormat, macho_dylib, macho_executable
 from repro.cider.system import build_cider, build_ipad_mini
+from repro.hw.profiles import nexus7
+from repro.ios.binaries import LIBSYSTEM_DEP
 from repro.ios.dyld import SHARED_CACHE_PATH, WalkBook, evict_shared_cache
 from repro.ios.frameworks import (
     TARGET_LIBRARY_COUNT,
@@ -573,7 +575,11 @@ def _load_state(loads):
 
 
 def test_a_clone_adopts_a_siblings_recording():
-    snap = snapshot_systems(build_cider(start_services=False))
+    system = build_cider(start_services=False)
+    # An empty book of its own, so the first clone walks cold rather than
+    # replaying a recording an earlier boot in this process made.
+    system.ios.dyld.book = WalkBook()
+    snap = snapshot_systems(system)
     outcomes = []
     for (clone,) in (snap.clone(), snap.clone()):
         try:
@@ -621,6 +627,109 @@ def test_a_clone_whose_walk_would_differ_walks_cold(hello_snapshot, change):
         cold_result,
         _load_state(cold),
     )
+
+
+# -- recordings cross boots ------------------------------------------------------
+
+
+def _slow_dyld_nexus7():
+    """A Nexus 7 whose dyld and lookup costs differ but whose profile and
+    cost model keep the name ``nexus7``: a book keyed by name would serve
+    it the Nexus 7's recordings."""
+    profile = nexus7()
+    base = profile.cost_model
+    profile.cost_model = base.derive(
+        base.name,
+        dyld_lib_open=base["dyld_lib_open"] * 1.5,
+        path_lookup_component=base["path_lookup_component"] * 2,
+        dyld_lib_map_per_mb=base["dyld_lib_map_per_mb"] * 1.25,
+        dyld_link_per_lib=base["dyld_link_per_lib"] * 1.3,
+    )
+    return profile
+
+
+#: Profiles whose cost tables differ.
+CROSS_BOOT_PROFILES = {"nexus7": nexus7, "slow-dyld": _slow_dyld_nexus7}
+
+
+def _first_exec(profile, durable, forget):
+    """Boot Cider on ``profile`` without services and exec
+    ``/bin/hello-ios`` under an empty fault plan, after giving dyld an
+    empty book with ``forget``.  What the exec charged and left behind,
+    and how many paths its dyld load resolved."""
+    system = build_cider(profile(), durable=durable, start_services=False)
+    try:
+        if forget:
+            _forget_walks(system.ios.dyld)
+        plan = system.machine.install_fault_plan(FaultPlan(seed=0))
+        loads = _probe_loads(system)
+        assert _exec_hello(system) == 0
+        (load,) = loads
+        resolved = len(load.pop("resolved"))
+        state = (
+            system.machine.clock.charged_ps,
+            load,
+            list(plan.occurrences.items()),
+        )
+        return state, resolved
+    finally:
+        system.shutdown()
+
+
+@pytest.mark.parametrize("durable", [False, True], ids=["volatile", "durable"])
+@pytest.mark.parametrize(
+    "order",
+    [("nexus7", "slow-dyld"), ("slow-dyld", "nexus7")],
+    ids=["nexus7-first", "slow-dyld-first"],
+)
+def test_a_fresh_boots_first_exec_equals_a_cold_walk(order, durable):
+    """Boots on two cost tables, alternating, in one process.  Each
+    system's first exec, whatever earlier boots recorded, must equal the
+    same exec on a twin whose dyld has an empty book: charged ps, load
+    order, mapped VMAs, atfork and atexit lists and the fault plan's
+    counts.  The second boot on each table replays."""
+    for round_ in range(2):
+        for name in order:
+            profile = CROSS_BOOT_PROFILES[name]
+            shared, resolved = _first_exec(profile, durable, forget=False)
+            cold, walked = _first_exec(profile, durable, forget=True)
+            assert shared == cold, name
+            assert walked == TARGET_LIBRARY_COUNT
+            if round_:
+                assert resolved == 0, name
+
+
+def test_a_fresh_boot_and_a_reboot_reuse_images_and_recordings(monkeypatch):
+    """A second fresh boot installs the first boot's image objects and
+    replays the first boot's launchd walk; so does a reboot."""
+    from repro.ios.dyld import Dyld
+
+    first = build_cider()
+    try:
+        libsystem = first.kernel.vfs.resolve(LIBSYSTEM_DEP).binary_image
+        book = first.ios.dyld.book
+    finally:
+        first.shutdown()
+    walks = []
+    walk = Dyld._walk
+
+    def traced(self, ctx, image, recording):
+        walks.append(image.name)
+        return walk(self, ctx, image, recording)
+
+    monkeypatch.setattr(Dyld, "_walk", traced)
+    second = build_cider()
+    try:
+        assert second.kernel.vfs.resolve(LIBSYSTEM_DEP).binary_image is libsystem
+        assert second.ios.dyld.book is book
+        assert second.ios.launchd is not None
+        assert walks == []
+        second.reboot()
+        assert second.kernel.vfs.resolve(LIBSYSTEM_DEP).binary_image is libsystem
+        assert second.ios.launchd is not None
+        assert walks == []
+    finally:
+        second.shutdown()
 
 
 def test_partsweep_case_after_the_record_pass_resolves_no_dylib(monkeypatch):

@@ -132,6 +132,21 @@ class TestKillThread:
         assert not victim.alive
         assert len(waitq) == 0
 
+    def test_kill_thread_blocked_on_two_queues(self, sched):
+        """A killed ``block_on_any`` victim leaves every queue it waited
+        on, not only its wait channel (thread dumps print the counts)."""
+        q0, q1 = WaitQueue("q0"), WaitQueue("q1")
+        victim = sched.spawn(lambda: sched.block_on_any([q0, q1]), name="victim")
+
+        def killer():
+            sched.kill_thread(victim)
+
+        sched.spawn(killer, name="killer")
+        sched.run()
+        assert victim.state.value == "killed"
+        assert (len(q0), len(q1)) == (0, 0)
+        assert repr(q1) == "<WaitQueue 'q1' waiters=0>"
+
     def test_kill_dead_thread_is_noop(self, sched):
         victim = sched.spawn(lambda: None, name="v")
         sched.run()
