@@ -7,11 +7,18 @@ between parent and child — offsets are shared, exactly as POSIX requires.
 
 Every open file is *pollable*: it reports instantaneous read/write
 readiness and exposes wait queues so ``select`` and blocking reads can
-park on it.
+park on it.  Most open files are never waited on, so an open file builds
+its ``read_waitq`` or ``write_waitq`` only when code first reads it (a
+thread about to park, or ``select`` about to block): each is a
+``functools.cached_property``, kept on the instance once built.  A file
+whose queues belong to something else assigns the attribute: a pipe's
+ends share the two queues ``make_pipe`` builds, a socket's are its
+streams', and an input device's read queue is its driver's.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..sim import WaitQueue
@@ -44,8 +51,15 @@ class OpenFile:
         self.machine = machine
         self.flags = flags
         self.refcount = 1
-        self.read_waitq = WaitQueue(f"{type(self).__name__}.read")
-        self.write_waitq = WaitQueue(f"{type(self).__name__}.write")
+
+    # wait queues, built on first read (see the module docstring) -------------
+    @cached_property
+    def read_waitq(self) -> WaitQueue:
+        return WaitQueue(f"{type(self).__name__}.read")
+
+    @cached_property
+    def write_waitq(self) -> WaitQueue:
+        return WaitQueue(f"{type(self).__name__}.write")
 
     # readiness ---------------------------------------------------------------
     def poll_readable(self) -> bool:
@@ -181,6 +195,10 @@ class DeviceHandle(OpenFile):
     def __init__(self, machine: "Machine", driver: object, flags: int) -> None:
         super().__init__(machine, flags)
         self.driver = driver
+        # An input device's readers wait on the queue its driver wakes.
+        event_waitq = getattr(driver, "event_waitq", None)
+        if event_waitq is not None:
+            self.read_waitq = event_waitq
 
     def poll_readable(self) -> bool:
         poll = getattr(self.driver, "poll_readable", None)
@@ -259,8 +277,10 @@ class FDTable:
             raise SyscallError(EBADF, f"fd {fd}") from None
 
     def close(self, fd: int) -> None:
-        open_file = self.get(fd)
-        del self._fds[fd]
+        try:
+            open_file = self._fds.pop(fd)
+        except KeyError:
+            raise SyscallError(EBADF, f"fd {fd}") from None
         if fd < self._low:
             self._low = fd
         open_file.decref()

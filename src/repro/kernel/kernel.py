@@ -119,6 +119,9 @@ class Kernel:
         )
         self._exit_ps = machine.cost_ps("syscall_exit")
         self._sig_persona_ps = machine.cost_ps("signal_persona_lookup")
+        # open(2) and close(2) bodies shared by every ABI, resolved the same way.
+        self._open_ps = machine.cost_ps("open_base")
+        self._close_ps = machine.cost_ps("close_base")
         self.booted = False
 
     # -- boot -----------------------------------------------------------------
@@ -189,8 +192,10 @@ class Kernel:
 
         The C-library facades call this method directly and the whole
         trap runs in this one frame: with no observatory, no fault plan
-        and nothing pending, the path pays ``is None`` tests and the
-        charges, and calls nothing that does no work.
+        and nothing pending, the path pays ``is None`` tests, and calls
+        nothing that does no work.  Its entry, dispatch and exit charges
+        and its syscall counter are applied here too, not by calls into
+        the clock and the trace (see :class:`~repro.sim.clock.VirtualClock`).
         """
         machine = self.machine
         obs = machine.obs
@@ -205,22 +210,28 @@ class Kernel:
                 # Every still-running simulated thread unwinds here;
                 # recovery is System.reboot().
                 raise MachinePanic(machine.panic_reason or "machine has crashed")
+            # Each fixed charge is VirtualClock.charge_ps's body, run in
+            # this frame (see VirtualClock).
             clock = machine.clock
             # Entry (+ the extra persona checking and handling code Cider
             # runs on every entry) in one pre-summed, pre-rounded charge.
-            clock.charge_ps(
-                self._entry_cider_ps if self.cider_enabled else self._entry_plain_ps
-            )
+            ps = self._entry_cider_ps if self.cider_enabled else self._entry_plain_ps
+            clock._now_ps += ps
+            clock._charged_ps += ps
+            if clock.profiler is not None:
+                clock.profiler.on_charge(ps)
             persona = thread.persona
             abi = persona.abi
             process = thread.process
             trace = machine.trace
-            if trace.enabled:
+            if trace._enabled:
                 trace.emit(clock.now_ns, "syscall", abi.name, nr=trapno)
             else:
-                # Counter-only bump with the persona's cached key tuple:
-                # the disabled fast path allocates nothing.
-                trace.bump(persona._trace_key)
+                # What emit counts, with the persona's cached key tuple:
+                # the untraced path allocates nothing.
+                counters = trace._counters
+                key = persona._trace_key
+                counters[key] = counters.get(key, 0) + 1
             injected = None
             if machine.faults is not None:
                 injected = self.apply_fault_errno(
@@ -236,9 +247,12 @@ class Kernel:
                 try:
                     # The dispatch cost is paid on a miss too (XNU's
                     # translation runs before the table says ENOSYS).
-                    dispatch_ps = persona._dispatch_ps
-                    if dispatch_ps:
-                        clock.charge_ps(dispatch_ps)
+                    ps = persona._dispatch_ps
+                    if ps:
+                        clock._now_ps += ps
+                        clock._charged_ps += ps
+                        if clock.profiler is not None:
+                            clock.profiler.on_charge(ps)
                     handler = abi.handlers.get(trapno)
                     if handler is None:
                         raise SyscallError(ENOSYS, f"{abi.name}[{trapno}]")
@@ -256,7 +270,11 @@ class Kernel:
                     )
                     if injected is not None:
                         result = abi.failure(injected)
-            clock.charge_ps(self._exit_ps)
+            ps = self._exit_ps
+            clock._now_ps += ps
+            clock._charged_ps += ps
+            if clock.profiler is not None:
+                clock.profiler.on_charge(ps)
             # Exit work only when there is some: a queued signal, or a
             # process that is dying or no longer running (Process.alive).
             if thread.pending.queue:
@@ -584,7 +602,7 @@ class Kernel:
     def open_path(self, process: Process, path: str, flags: int = 0) -> int:
         """open(2) body shared by every ABI."""
         machine = self.machine
-        machine.charge("open_base")
+        machine.clock.charge_ps(self._open_ps)
         if machine.faults is not None:
             outcome = machine.faults.check(
                 "vfs.open", path=path, pid=process.pid, flags=flags

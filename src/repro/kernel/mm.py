@@ -367,11 +367,16 @@ class AddressSpace:
     def touch_range(self, vma: VMA, start_page: int, count: int) -> int:
         """Break COW for ``count`` pages starting at ``start_page``.
 
-        Returns the number of pages newly broken.  If the RAM budget is
-        exhausted mid-range, every page broken *by this call* is rolled
-        back (released and un-broken) before the ENOMEM propagates, so a
-        failed large write leaves the envelope exactly as it found it.
+        Returns the number of pages newly broken.  A range that leaves a
+        COW mapping raises ValueError before any page is broken.  If the
+        RAM budget is exhausted mid-range, every page broken *by this
+        call* is rolled back (released and un-broken) before the ENOMEM
+        propagates, so a failed large write leaves the envelope exactly as
+        it found it.
         """
+        in_range = 0 <= start_page <= vma.pages - count
+        if vma in self._cow and count > 0 and not in_range:
+            raise ValueError(f"pages from {start_page} out of range for {vma!r}")
         broken_here: List[int] = []
         try:
             for page in range(start_page, start_page + count):

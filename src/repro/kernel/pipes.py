@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from ..sim import WaitQueue
 from .errno import EAGAIN, EPIPE, SyscallError
 from .files import O_RDONLY, O_WRONLY, OpenFile
 from .signals import SIGPIPE
@@ -112,15 +113,19 @@ class PipeWriter(OpenFile):
 
 
 def make_pipe(machine: "Machine"):
-    """Create a connected (reader, writer) pair."""
+    """Create a connected (reader, writer) pair.
+
+    The pipe's two wait queues are built here, once: every close wakes
+    one, so building them on first wait would build them at close."""
     core = _PipeCore(machine)
     reader = PipeReader(machine, core)
     writer = PipeWriter(machine, core)
     writer.reader = reader
+    reader.read_waitq = WaitQueue("PipeReader.read")
     # Both ends share one writability queue (the reader's): the reader
     # wakes ``self.write_waitq`` after draining, and blocked writers park
     # on ``reader.write_waitq`` — but select-for-writable parks on the
     # *writer's* queue.  Aliasing them makes that wakeup reach pollers
     # too instead of silently never firing.
-    writer.write_waitq = reader.write_waitq
+    reader.write_waitq = writer.write_waitq = WaitQueue("PipeReader.write")
     return reader, writer

@@ -152,7 +152,7 @@ def sys_open(kernel: "Kernel", thread: "KThread", path: str, flags: int = 0):
 
 
 def sys_close(kernel: "Kernel", thread: "KThread", fd: int):
-    kernel.machine.charge("close_base")
+    kernel.machine.clock.charge_ps(kernel._close_ps)
     thread.process.fd_table.close(fd)
     return 0
 

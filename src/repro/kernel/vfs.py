@@ -391,6 +391,19 @@ class VFS:
         exist_ok: bool = False,
     ) -> RegularFile:
         parent, name = self.resolve_parent(path, cwd)
+        return self._create_in(parent, name, path, cwd, data, binary_image, exist_ok)
+
+    def _create_in(
+        self,
+        parent: Directory,
+        name: str,
+        path: str,
+        cwd: Optional[Directory],
+        data: bytes,
+        binary_image: Optional[BinaryImage],
+        exist_ok: bool,
+    ) -> RegularFile:
+        """``create_file`` once ``path``'s parent is resolved (and charged)."""
         existing = parent.lookup(name)
         if existing is not None:
             if exist_ok and isinstance(existing, RegularFile):
@@ -507,11 +520,16 @@ class VFS:
 
     def install_binary(self, path: str, image: BinaryImage) -> RegularFile:
         """Place an executable/dylib into the tree, creating directories.
-        Installing over an existing path replaces its image (a copy)."""
+        Installing over an existing path replaces its image (a copy).
+
+        The path is walked once, by ``makedirs``; the file is created in
+        the directory it returns, charged as ``create_file`` charges."""
         parts = self.split(path)
-        if len(parts) > 1:
-            self.makedirs("/" + "/".join(parts[:-1]))
-        node = self.create_file(path, binary_image=image, exist_ok=True)
+        if not parts:
+            raise SyscallError(ENOENT, path)
+        parent = self.makedirs("/" + "/".join(parts[:-1]))
+        self._charge_lookup(len(parts))
+        node = self._create_in(parent, parts[-1], path, None, b"", image, True)
         node.binary_image = image
         return node
 

@@ -43,7 +43,17 @@ def ns_to_ps(ns: float) -> int:
 
 
 class VirtualClock:
-    """A monotonically increasing virtual nanosecond counter."""
+    """A monotonically increasing virtual nanosecond counter.
+
+    :meth:`charge_ps` is the definition of a charge: add the amount to
+    the now and charged totals, then tell the attached profiler.  One
+    place outside this class applies that definition itself:
+    :meth:`repro.kernel.kernel.Kernel.trap` advances the clock by its
+    entry, dispatch and exit amounts, which are resolved at boot and
+    never negative.  Every simulated syscall pays those three, and as
+    calls they were three of a Mach-O null syscall's ten Python calls.
+    Everything else charges through the methods.
+    """
 
     __slots__ = ("_now_ps", "_charged_ps", "profiler")
 

@@ -629,6 +629,9 @@ class Scheduler:
             if not thread.alive:
                 continue
             thread._killed = True
+            # As kill_thread does: block_on has no cleanup on unwind.
+            if thread.wait_channel is not None:
+                thread.wait_channel._discard(thread)
             # Hand the token directly to the victim; it unwinds via
             # ThreadKilled and hands the token straight back (see
             # _on_thread_exit's shutdown path).

@@ -54,6 +54,9 @@ class Trace:
     such as "N syscalls were dispatched through the XNU table"); full event
     records are kept only while :attr:`enabled` is True.  Each event bumps
     exactly one counter; ``count(category)`` sums that category's names.
+    An untraced trap does not call :meth:`emit`: ``Kernel.trap`` reads
+    ``_enabled`` and bumps its persona's ``("syscall", abi)`` counter in
+    ``_counters`` itself, which is all ``emit`` would have done.
     """
 
     def __init__(self, capacity: int = 100_000) -> None:
@@ -95,16 +98,6 @@ class Trace:
             self._events.append(
                 TraceEvent(int(round(clock_now_ns)), category, name, dict(detail))
             )
-
-    def bump(self, key: Tuple[str, str]) -> None:
-        """Counter-only emission for the disabled fast path.
-
-        Semantically identical to :meth:`emit` while ``enabled`` is False,
-        but takes a *pre-built* ``(category, name)`` tuple so hot callers
-        (the kernel trap path caches one per persona) pay zero allocations
-        — no kwargs dict, no tuple construction, no event record.
-        """
-        self._counters[key] = self._counters.get(key, 0) + 1
 
     def count(self, category: str, name: Optional[str] = None) -> int:
         """Events counted for ``category`` (optionally a specific name)."""

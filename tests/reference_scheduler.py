@@ -4,10 +4,13 @@
 # except that its relative imports are absolute, so both implementations
 # raise the same exception classes; repro.cider.system.run_world of the
 # same commit follows at the end, likewise verbatim.  Do not edit it to
-# follow the live scheduler: its value is that it does not change.  One
-# bug fix made since is applied here as in the live scheduler: a timed or
-# multi-queue block leaves every queue it waited on in a ``finally``, so a
-# killed thread unwinding from it stays listed on none of them.
+# follow the live scheduler: its value is that it does not change.  Two
+# bug fixes made since are applied here as in the live scheduler: a timed
+# or multi-queue block leaves every queue it waited on in a ``finally``, so
+# a killed thread unwinding from it stays listed on none of them; and
+# ``shutdown`` takes each victim off its wait channel before waking it, as
+# ``kill_thread`` does, so a thread killed in ``block_on`` is not left on
+# that queue either.
 
 """Deterministic cooperative scheduler.
 
@@ -690,6 +693,8 @@ class Scheduler:
             if not thread.alive:
                 continue
             thread._killed = True
+            if thread.wait_channel is not None:
+                thread.wait_channel._discard(thread)
             # Hand the token directly to the victim; it unwinds via
             # ThreadKilled and hands the token straight back (see
             # _on_thread_exit's shutdown path).

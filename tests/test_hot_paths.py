@@ -274,6 +274,22 @@ class TestCowFork:
         assert child._cow[cvma].broken == set()
         assert child._cow[cvma].charged_bytes == 0
 
+    def test_touch_range_past_the_end_breaks_nothing(self):
+        """A range that runs past the mapping raises before it breaks,
+        reserves or charges anything."""
+        machine, parent, _ = _cow_fixture(region_bytes=3 * PAGE_SIZE)
+        child = parent.fork_copy(cow=True)
+        cvma = child.find("heap")
+        used = machine.resources.ram_used
+        charged = machine.clock.charged_ps
+        with pytest.raises(ValueError):
+            child.touch_range(cvma, 1, 5)
+        assert child._cow[cvma].broken == set()
+        assert child._cow[cvma].charged_bytes == 0
+        assert machine.resources.ram_used == used
+        assert machine.clock.charged_ps == charged
+        assert child.touch_range(cvma, 1, 2) == 2
+
     def test_child_teardown_releases_only_broken_pages(self):
         """The jetsam-kill contract: killing a COW child must free its
         privately broken pages but never the shared source the parent

@@ -68,6 +68,31 @@ class TestEvdev:
         assert result == -1
         assert errno == E.EAGAIN
 
+    def test_select_wakes_when_an_event_arrives(self):
+        """select on an input node returns when the driver queues an
+        event, not when its timeout runs out."""
+        system = build_vanilla_android()
+        try:
+
+            def body(ctx):
+                libc, machine = ctx.libc, ctx.machine
+                fd = libc.open("/dev/input/event0", O_RDONLY)
+
+                def tapper():
+                    machine.scheduler.sleep(100_000)
+                    machine.touchscreen.tap(5, 6)
+
+                machine.spawn(tapper, name="tapper", daemon=True)
+                start = machine.clock.now_ps
+                ready = libc.select([fd], [], 5_000_000)
+                return fd, ready, machine.clock.now_ps - start
+
+            fd, ready, elapsed_ps = run_elf(system, body)
+            assert ready == ([fd], [])
+            assert 100_000_000 <= elapsed_ps < 1_000_000_000
+        finally:
+            system.shutdown()
+
     def test_accelerometer_node_separate(self, system):
         def body(ctx):
             libc = ctx.libc

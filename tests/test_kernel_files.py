@@ -19,7 +19,9 @@ from repro.kernel.files import (
     SEEK_SET,
 )
 from repro.kernel.errno import SyscallError
+from repro.kernel.pipes import PIPE_CAPACITY
 from repro.kernel.vfs import RegularFile
+from repro.sim import WaitQueue
 
 from helpers import run_elf
 
@@ -44,6 +46,9 @@ class TestFDTable:
         table = FDTable()
         with pytest.raises(SyscallError) as err:
             table.get(7)
+        assert err.value.errno == E.EBADF
+        with pytest.raises(SyscallError) as err:
+            table.close(7)
         assert err.value.errno == E.EBADF
 
     def test_dup2_closes_target(self, system):
@@ -179,3 +184,105 @@ class TestOpenFlagsThroughSyscalls:
             return ctx.machine.storage.bytes_written - before
 
         assert run_elf(system, body) == 4096
+
+
+class TestWaitQueues:
+    """An open file builds a wait queue only when something first waits
+    on it, under the name it always had; a pipe builds its two queues
+    once, and both ends use them."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        names = []
+        init = WaitQueue.__init__
+
+        def counting(queue, name="waitq"):
+            names.append(name)
+            init(queue, name)
+
+        monkeypatch.setattr(WaitQueue, "__init__", counting)
+        return names
+
+    def test_open_and_close_build_no_queue(self, system, built):
+        def body(ctx):
+            libc = ctx.libc
+            libc.close(libc.creat("/tmp/noqueue"))
+            del built[:]
+            for path in ("/tmp/noqueue", "/dev/null"):
+                libc.close(libc.open(path, O_RDWR))
+            return list(built)
+
+        assert run_elf(system, body) == []
+
+    def test_a_pipe_builds_two_queues(self, system, built):
+        def body(ctx):
+            libc = ctx.libc
+            del built[:]
+            rfd, wfd = libc.pipe()
+            libc.close(rfd)
+            libc.close(wfd)
+            return list(built)
+
+        assert run_elf(system, body) == ["PipeReader.read", "PipeReader.write"]
+
+    @staticmethod
+    def _blocked(libc, wake):
+        """Start a thread that takes a thread dump, then calls ``wake``;
+        returns the list the dump lands in."""
+        dumps = []
+
+        def sibling(tctx):
+            dumps.append(tctx.machine.scheduler.thread_dump())
+            wake(tctx.libc)
+            return 0
+
+        libc.pthread_create(sibling)
+        return dumps
+
+    def test_reader_blocked_on_an_empty_pipe_wakes(self, system):
+        def body(ctx):
+            libc = ctx.libc
+            rfd, wfd = libc.pipe()
+            dumps = self._blocked(libc, lambda tlibc: tlibc.write(wfd, b"hi"))
+            return libc.read(rfd, 2), dumps
+
+        data, dumps = run_elf(system, body)
+        assert data == b"hi"
+        assert "on=<WaitQueue 'PipeReader.read' waiters=1>" in dumps[0]
+
+    def test_select_blocked_on_a_pipe_wakes(self, system):
+        def body(ctx):
+            libc = ctx.libc
+            rfd, wfd = libc.pipe()
+            dumps = self._blocked(libc, lambda tlibc: tlibc.write(wfd, b"x"))
+            return rfd, libc.select([rfd], [], None), dumps
+
+        rfd, ready, dumps = run_elf(system, body)
+        assert ready == ([rfd], [])
+        assert "on=<WaitQueue 'PipeReader.read' waiters=1>" in dumps[0]
+
+    def test_select_for_writing_on_a_full_pipe_wakes(self, system):
+        def body(ctx):
+            libc = ctx.libc
+            rfd, wfd = libc.pipe()
+            libc.write(wfd, b"f" * PIPE_CAPACITY)
+            dumps = self._blocked(libc, lambda tlibc: tlibc.read(rfd, 1))
+            return wfd, libc.select([], [wfd], None), dumps
+
+        wfd, ready, dumps = run_elf(system, body)
+        assert ready == ([], [wfd])
+        assert "on=<WaitQueue 'PipeReader.write' waiters=1>" in dumps[0]
+
+    def test_a_queue_built_on_first_wait_has_its_old_name(self, system):
+        """Nothing ever makes a pipe's write end readable: a select on it
+        waits on a queue of the writer's own, built for that wait."""
+
+        def body(ctx):
+            libc = ctx.libc
+            rfd, wfd = libc.pipe()
+            dumps = self._blocked(libc, lambda tlibc: None)
+            return libc.select([wfd], [], 1_000), dumps
+
+        ready, dumps = run_elf(system, body)
+        assert ready == ([], [])
+        assert "on=<WaitQueue 'PipeWriter.read' waiters=1>" in dumps[0]

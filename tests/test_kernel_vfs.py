@@ -106,6 +106,38 @@ class TestNamespaceOps:
         assert node.binary_image is lib
         assert node.size_bytes == lib.vm_size_bytes
 
+    def test_install_binary_charges_what_create_file_charges(self):
+        """On a new path, over an installed file and at the root,
+        install_binary charges what makedirs then create_file charge."""
+        lib = elf_library("libz.so")
+        old_machine, new_machine = nexus7().boot(), nexus7().boot()
+        old, new = VFS(old_machine), VFS(new_machine)
+        for path in ("/system/lib/arm/libz.so", "/system/lib/arm/libz.so",
+                     "/libtop.so", "/system/lib/arm/libc.so"):
+            before = old_machine.clock.charged_ps
+            old.makedirs("/" + "/".join(VFS.split(path)[:-1]))
+            old.create_file(path, binary_image=lib, exist_ok=True)
+            charged = old_machine.clock.charged_ps - before
+            before = new_machine.clock.charged_ps
+            assert new.install_binary(path, lib).binary_image is lib
+            assert new_machine.clock.charged_ps - before == charged
+        assert new.walk() == old.walk()
+
+    def test_install_binary_looks_each_component_up_once(self, vfs, monkeypatch):
+        lookups = []
+        lookup = Directory.lookup
+        monkeypatch.setattr(
+            Directory, "lookup", lambda d, name: lookups.append(name) or lookup(d, name)
+        )
+        vfs.install_binary("/system/lib/arm/libz.so", elf_library("libz.so"))
+        assert lookups == ["system", "lib", "arm", "libz.so"]
+
+    def test_install_binary_over_a_directory_eexist(self, vfs):
+        vfs.makedirs("/a/b")
+        with pytest.raises(SyscallError) as err:
+            vfs.install_binary("/a/b", elf_library("b"))
+        assert err.value.errno == E.EEXIST
+
     def test_walk_lists_files(self, vfs):
         vfs.makedirs("/a/b")
         vfs.create_file("/a/f1")

@@ -460,11 +460,16 @@ class _RefAddressSpace:
     def touch_range(self, vma: _RefVMA, start_page: int, count: int) -> int:
         """Break COW for ``count`` pages starting at ``start_page``.
 
-        Returns the number of pages newly broken.  If the RAM budget is
-        exhausted mid-range, every page broken *by this call* is rolled
-        back (released and un-broken) before the ENOMEM propagates, so a
-        failed large write leaves the envelope exactly as it found it.
+        Returns the number of pages newly broken.  A range that leaves a
+        COW mapping raises ValueError before any page is broken.  If the
+        RAM budget is exhausted mid-range, every page broken *by this
+        call* is rolled back (released and un-broken) before the ENOMEM
+        propagates, so a failed large write leaves the envelope exactly as
+        it found it.
         """
+        cow = vma.cow_source is not None and vma.cow_broken is not None
+        if cow and count > 0 and not 0 <= start_page <= vma.pages - count:
+            raise ValueError(f"pages from {start_page} out of range for {vma!r}")
         broken_here: List[int] = []
         res = self._envelope()
         try:

@@ -214,6 +214,22 @@ def test_shutdown_kills_blocked_threads(sched):
     assert list(sched.live_threads()) == []
 
 
+def test_shutdown_leaves_no_victim_on_its_queue(sched):
+    """A thread that shutdown kills in ``block_on`` or ``block_on_any``
+    is listed on no queue afterwards, so a queue that outlives the
+    shutdown counts no dead waiter in a thread dump."""
+    q, q2 = WaitQueue("q"), WaitQueue("q2")
+    sched.spawn(lambda: sched.block_on(q), name="single")
+    sched.spawn(lambda: sched.block_on_any([q2]), name="any")
+    with pytest.raises(DeadlockError):
+        sched.run()
+    assert (len(q), len(q2)) == (1, 1)
+    sched.shutdown()
+    assert list(sched.live_threads()) == []
+    assert (len(q), len(q2)) == (0, 0)
+    assert repr(q) == "<WaitQueue 'q' waiters=0>"
+
+
 def test_determinism_same_program_same_timeline():
     def program(scheduler):
         waitq = WaitQueue("q")

@@ -10,8 +10,10 @@ must match it exactly, so a change to the trap path that moves a charge,
 a trace timestamp, a fault occurrence or an unwind fails here.
 
 The other tests pin the mechanism: a syscall handler's callers are
-exactly ``Kernel.trap`` and the C library's trap helper, and a trap exit
-never returns to a process that stopped running.
+exactly ``Kernel.trap`` and the C library's trap helper, a trap exit
+never returns to a process that stopped running, a trap charges exactly
+its entry, dispatch and exit and counts itself once, and four kinds of
+trap make a pinned number of Python calls.
 
 Re-record (only for an intentional change to the trap path's output):
 ``PYTHONPATH=src python -m tests.test_trap_path > benchmarks/trap_path_transcript.txt``
@@ -272,6 +274,111 @@ def test_trap_exit_ends_a_process_that_stopped_running(macho):
         path = _install(system, "finishios" if macho else "finishelf", main, macho)
         assert system.run_program(path, [path]) == 7
         assert after == []
+    finally:
+        system.shutdown()
+
+
+# -- the trap's own frame: its charges, its counter, its Python calls ------------
+
+
+def _fixed_ps(machine, persona):
+    """A Cider trap's entry (with the persona check), dispatch and exit."""
+    dispatch = persona.abi.dispatch_cost_name
+    return (
+        machine.cost_ps("syscall_entry")
+        + machine.cost_ps("cider_persona_check")
+        + (machine.cost_ps(dispatch) if dispatch else 0)
+        + machine.cost_ps("syscall_exit")
+    )
+
+
+@pytest.mark.parametrize("observed", [False, True], ids=["plain", "observatory"])
+@pytest.mark.parametrize("macho", [False, True], ids=["elf", "macho"])
+def test_a_trap_charges_entry_dispatch_and_exit(macho, observed):
+    """``getppid`` charges nothing of its own, so one trap moves the clock
+    by exactly entry, dispatch and exit, counts one syscall, and leaves
+    every charged picosecond attributed by the profiler."""
+    system = build_cider()
+    try:
+        machine = system.machine
+        obs = machine.install_observatory() if observed else None
+        clock, trace = machine.clock, machine.trace
+
+        def reading():
+            attributed = obs.profiler.attributed_ps() if observed else 0
+            return clock.now_ps, clock.charged_ps, trace.count("syscall"), attributed
+
+        def body(ctx):
+            before = reading()
+            ctx.libc.getppid()
+            after = reading()
+            moved = [b - a for a, b in zip(before, after)]
+            persona = ctx.thread.persona
+            return moved, _fixed_ps(machine, persona), persona.abi.dispatch_cost_name
+
+        moved, fixed, dispatch = (run_macho if macho else run_elf)(system, body)
+        # Linux dispatches for free; XNU pays its translation.
+        assert (dispatch is not None) == macho
+        assert moved == [fixed, fixed, 1, fixed if observed else 0]
+        if observed:
+            assert obs.profiler.conservation_check()
+    finally:
+        system.shutdown()
+
+
+#: Python calls per operation from the C-library method down (the
+#: ``sys.setprofile`` "call" events), the same in both formats.
+CALLS_PER_OPERATION = {"getppid": 5, "read": 10, "open_close": 23, "pipe_close": 37}
+
+
+def _calls(operation):
+    names = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            names.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        operation()
+    finally:
+        sys.setprofile(None)
+    return names[1:]  # the first is ``operation`` itself
+
+
+@pytest.mark.parametrize("macho", [False, True], ids=["elf", "macho"])
+def test_python_calls_per_trap(macho):
+    """A trap's fixed work runs in ``Kernel.trap``'s frame, and an open
+    file builds no wait queue nothing waits on: ``getppid`` is the libc
+    method, its trap helper, ``Kernel.trap``, the handler and the ABI's
+    return convention, and nothing else."""
+    system = build_cider()
+    try:
+
+        def body(ctx):
+            libc = ctx.libc
+            zero = libc.open("/dev/zero", 0)
+            libc.close(libc.creat("/tmp/calls"))
+
+            def open_close():
+                libc.close(libc.open("/tmp/calls", 0))
+
+            def pipe_close():
+                rfd, wfd = libc.pipe()
+                libc.close(rfd)
+                libc.close(wfd)
+
+            return {
+                "getppid": _calls(lambda: libc.getppid()),
+                "read": _calls(lambda: libc.read(zero, 16)),
+                "open_close": _calls(open_close),
+                "pipe_close": _calls(pipe_close),
+            }
+
+        calls = (run_macho if macho else run_elf)(system, body)
+        assert {op: len(names) for op, names in calls.items()} == CALLS_PER_OPERATION
+        facade = "_bsd" if macho else "_trap"
+        assert calls["getppid"] == ["getppid", facade, "trap", "sys_getppid", "success"]
     finally:
         system.shutdown()
 
