@@ -38,7 +38,7 @@ def _state(ctx: "UserContext") -> Dict[str, object]:
 
 
 def _flinger(ctx: "UserContext") -> SurfaceFlinger:
-    flinger = getattr(ctx.machine, "surfaceflinger", None)
+    flinger = ctx.machine.surfaceflinger
     if flinger is None:
         raise RuntimeError("SurfaceFlinger service is not running")
     return flinger

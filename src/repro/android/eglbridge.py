@@ -89,7 +89,7 @@ def eaglbridge_create_window(
     """Allocate window memory from SurfaceFlinger on behalf of a foreign
     app (used when no proxied CiderPress surface was provided)."""
     ctx.machine.charge("eagl_bridge_call")
-    flinger = getattr(ctx.machine, "surfaceflinger", None)
+    flinger = ctx.machine.surfaceflinger
     if flinger is None:
         raise RuntimeError("SurfaceFlinger service is not running")
     return flinger.create_surface(name, width_px, height_px, z_order)

@@ -202,11 +202,25 @@ class AndroidFramework:
         self.activity_manager = ActivityManager(self)
         self.installed: Dict[str, Callable[[], AndroidApp]] = {}
         self.running: Dict[str, AppRecord] = {}
+        #: pid -> the record of an app process that has not run yet.
+        self._starting: Dict[int, AppRecord] = {}
         #: Native services started via :meth:`start_service`
         #: (name -> supervisor Process), Android-init style.
         self.services: Dict[str, Process] = {}
         self.system_server: Optional[Process] = None
         self._next_z = self.APP_Z_BASE
+
+    def shutdown(self) -> None:
+        """The system is going down and every thread is dead: let go of
+        the system, its kernel, the managers and every app and service,
+        so the framework is freed by reference count.  The binaries it
+        installed close over it, and its managers and app controllers
+        point back at it."""
+        self.system = self.kernel = self.system_server = None
+        self.input_manager = self.activity_manager = None
+        self.running.clear()
+        self._starting.clear()
+        self.services.clear()
 
     # -- boot -----------------------------------------------------------------
 
@@ -276,9 +290,12 @@ class AndroidFramework:
         return record
 
     def _spawn_app_process(self, record: AppRecord) -> None:
+        # The process finds its record through ``_starting``: a binary
+        # that closed over the record would make a reference cycle with
+        # the process, which holds its binary.
         image = elf_executable(
             f"app:{record.name}",
-            lambda ctx, argv: self._app_main(ctx, record),
+            self._app_entry,
             deps=["libc.so", "libGLESv2.so", "libEGL.so", "libskia.so"],
             text_kb=160,
         )
@@ -288,6 +305,17 @@ class AndroidFramework:
         record.process = self.kernel.start_process(
             path, name=record.name, daemon=True
         )
+        self._starting[record.process.pid] = record
+
+    def _app_entry(self, ctx: UserContext, argv: List[str]) -> int:
+        record = self._starting.pop(ctx.process.pid)
+        try:
+            return self._app_main(ctx, record)
+        finally:
+            # The app is over, returned or killed: its record and the
+            # controller the app may keep point at each other.
+            if record.controller is not None:
+                record.controller.record = None
 
     def _app_main(self, ctx: UserContext, record: AppRecord) -> int:
         libc = ctx.libc

@@ -33,11 +33,7 @@ LIB_STATE_KEY = "libGLESv2"
 class GLContext:
     """One GL rendering context's state."""
 
-    _next_id = 1
-
     def __init__(self) -> None:
-        self.context_id = GLContext._next_id
-        GLContext._next_id += 1
         self.pending: List[GpuCommand] = []
         self.clear_color = (0.0, 0.0, 0.0, 1.0)
         self.draw_surface: Optional["EGLSurface"] = None

@@ -18,13 +18,12 @@ if TYPE_CHECKING:
 
 
 class GraphicBuffer:
-    """One allocation of window memory."""
+    """One allocation of window memory, numbered per machine."""
 
-    _next_id = 1
-
-    def __init__(self, width_px: int, height_px: int, usage: str = "texture"):
-        self.buffer_id = GraphicBuffer._next_id
-        GraphicBuffer._next_id += 1
+    def __init__(
+        self, buffer_id: int, width_px: int, height_px: int, usage: str = "texture"
+    ):
+        self.buffer_id = buffer_id
         self.width_px = width_px
         self.height_px = height_px
         self.usage = usage
@@ -82,7 +81,8 @@ def gralloc_alloc(
     fails — the carveout overcommits — but once the budget is exceeded
     SurfaceFlinger degrades by dropping frames until buffers are freed.
     """
-    buffer = GraphicBuffer(width_px, height_px, usage)
+    buffer_id = ctx.machine.next_id("graphic-buffer")
+    buffer = GraphicBuffer(buffer_id, width_px, height_px, usage)
     ctx.machine.charge("gralloc_alloc")
     res = ctx.machine.resources
     if res is not None:

@@ -28,9 +28,7 @@ if TYPE_CHECKING:
 
 
 class Surface:
-    """A double-buffered window surface."""
-
-    _next_id = 1
+    """A double-buffered window surface, numbered per machine."""
 
     def __init__(
         self,
@@ -42,8 +40,8 @@ class Surface:
         x: int = 0,
         y: int = 0,
     ) -> None:
-        self.surface_id = Surface._next_id
-        Surface._next_id += 1
+        machine = flinger.machine
+        self.surface_id = machine.next_id("surface")
         self.flinger = flinger
         self.name = name
         self.width_px = width_px
@@ -52,12 +50,16 @@ class Surface:
         self.x = x
         self.y = y
         self.visible = True
-        self.front = GraphicBuffer(width_px, height_px, usage="window")
-        self.back = GraphicBuffer(width_px, height_px, usage="window")
+        self.front = GraphicBuffer(
+            machine.next_id("graphic-buffer"), width_px, height_px, usage="window"
+        )
+        self.back = GraphicBuffer(
+            machine.next_id("graphic-buffer"), width_px, height_px, usage="window"
+        )
         #: Bytes charged against the machine's gralloc carveout budget
         #: (released by :meth:`SurfaceFlinger.destroy_surface`).
         self.gralloc_reserved = 0
-        res = flinger.machine.resources
+        res = machine.resources
         if res is not None:
             nbytes = self.front.size_bytes + self.back.size_bytes
             self.gralloc_reserved = nbytes
@@ -85,7 +87,16 @@ class SurfaceFlinger:
     def __init__(self, machine: "Machine") -> None:
         self.machine = machine
         self.surfaces: List[Surface] = []
+        #: Surfaces published by id for another process to draw into
+        #: (CiderPress hands its window to the iOS app this way).
+        self.published: Dict[int, Surface] = {}
         self.compositions = 0
+
+    def shutdown(self) -> None:
+        """The system is going down: drop every surface (each points back
+        at this compositor)."""
+        self.surfaces.clear()
+        self.published.clear()
 
     # -- surface management ------------------------------------------------------
 

@@ -22,7 +22,7 @@ Concretely:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Optional
 
 from ..android.framework import AndroidApp, AppController, encode_framed
 from ..hw.touchscreen import TouchEvent
@@ -30,14 +30,6 @@ from ..kernel.process import UserContext
 
 if TYPE_CHECKING:
     from ..android.skia import Canvas
-
-
-def _surface_registry(machine) -> Dict[int, object]:
-    registry = getattr(machine, "cider_surfaces", None)
-    if registry is None:
-        registry = {}
-        machine.cider_surfaces = registry
-    return registry
 
 
 class CiderPress(AndroidApp):
@@ -75,8 +67,7 @@ class CiderPress(AndroidApp):
         # Proxy our display memory: publish the surface handle the iOS
         # app's EAGL bridge will attach to.
         surface = controller.surface
-        registry = _surface_registry(ctx.machine)
-        registry[surface.surface_id] = surface
+        surface.flinger.published[surface.surface_id] = surface
 
         # Launch the foreign binary (posix_spawn through the kernel, the
         # same path launchd uses).

@@ -192,7 +192,7 @@ def enable_cider(
     kernel.register_loader(MachOLoader(IOSLibc, dyld))
 
     # Display service (SurfaceFlinger owns the panel on Android).
-    if getattr(machine, "surfaceflinger", None) is None:
+    if machine.surfaceflinger is None:
         machine.surfaceflinger = SurfaceFlinger(machine)
 
     # iOS user space: overlay FS, frameworks, interposition, binaries.

@@ -87,7 +87,12 @@ class System:
             self._start_services_fn(self)
 
     def shutdown(self) -> None:
+        """Kill every simulated thread, then let go of what the system
+        built, so it is freed by reference count (DESIGN.md §9,
+        "Lifetimes")."""
         self.machine.shutdown()
+        if self.android is not None:
+            self.android.shutdown()
 
     # -- crash recovery --------------------------------------------------------
 
@@ -162,6 +167,8 @@ class System:
                 )
                 for entry in tail:
                     log.line(f"recovery: flightrec: {entry}")
+        if self.android is not None:
+            self.android.shutdown()
         self.android = None
         self.ios = None
         # The rebuild recipe and the boot tasks reinstall the *boot

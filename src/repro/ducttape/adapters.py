@@ -69,6 +69,11 @@ class LinuxDuctTapeEnv(XNUKernelAPI):
         self._event_seq = 0
         self.allocations_live = 0
 
+    def shutdown(self) -> None:
+        """The kernel is going down: let go of it (it holds this
+        environment through every subsystem linked against it)."""
+        self._kernel = None
+
     # -- locks -----------------------------------------------------------------
 
     def lck_mtx_alloc(self, name: str = "lck_mtx") -> object:

@@ -159,3 +159,13 @@ class DuctTapeLinker:
 
     def subsystem(self, name: str) -> object:
         return self.linked[name].instance
+
+    def shutdown(self) -> None:
+        """The domestic kernel is going down: each linked subsystem with a
+        ``shutdown`` lets go of the kernel objects it holds, then the
+        environment lets go of the kernel."""
+        for linked in self.linked.values():
+            shutdown = getattr(linked.instance, "shutdown", None)
+            if shutdown is not None:
+                shutdown()
+        self.env.shutdown()

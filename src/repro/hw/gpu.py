@@ -11,10 +11,10 @@ fence synchronisation (paper §6.3/§6.4) has somewhere real to go wrong.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List
 
 if TYPE_CHECKING:
-    from .machine import Machine
+    from ..sim import CostModel, VirtualClock
 
 
 @dataclass(frozen=True)
@@ -30,28 +30,29 @@ class GpuCommand:
 class Fence:
     """A GPU-side synchronisation point."""
 
-    _next_id = 1
-
     def __init__(self) -> None:
-        self.fence_id = Fence._next_id
-        Fence._next_id += 1
         self.signalled = False
 
 
 class GPU:
-    """Executes command buffers, charging time against the machine clock."""
+    """Executes command buffers, charging time against the machine clock.
 
-    def __init__(self, machine: "Machine", speed_factor: float = 1.0) -> None:
-        self._machine = machine
+    It holds the clock and the cost table, not the machine, so the
+    machine and its GPU form no reference cycle."""
+
+    def __init__(
+        self, clock: "VirtualClock", costs: "CostModel", speed_factor: float = 1.0
+    ) -> None:
+        self._clock = clock
+        self._costs = costs
         self.speed_factor = speed_factor
         self.commands_executed = 0
         self.vertices_processed = 0
         self.fragment_blocks_shaded = 0
-        self._pending_fences: List[Fence] = []
 
     def submit(self, commands: List[GpuCommand]) -> None:
         """Execute a command buffer synchronously (in virtual time)."""
-        costs = self._machine.costs
+        costs = self._costs
         total_ns = 0.0
         for cmd in commands:
             total_ns += costs["gpu_cmd"]
@@ -66,12 +67,10 @@ class GPU:
                 if isinstance(fence, Fence):
                     fence.signalled = True
             self.commands_executed += 1
-        self._machine.charge_ns(total_ns * self.speed_factor)
+        self._clock.charge(total_ns * self.speed_factor)
 
     def create_fence(self) -> Fence:
-        fence = Fence()
-        self._pending_fences.append(fence)
-        return fence
+        return Fence()
 
     def wait_fence(self, fence: Fence, broken: bool = False) -> None:
         """CPU-side wait for a fence.
@@ -82,7 +81,7 @@ class GPU:
         (``broken=True``): every wait degenerates into a fixed stall.
         """
         if broken or not fence.signalled:
-            self._machine.charge("fence_stall")
+            self._clock.charge(self._costs["fence_stall"])
             fence.signalled = True
 
     def __repr__(self) -> str:

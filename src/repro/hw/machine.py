@@ -9,7 +9,7 @@ simulated user space do charges time through the machine.
 from __future__ import annotations
 
 import random
-from typing import Callable, Optional, Union
+from typing import Callable, Dict, Optional, Union
 
 from ..obs.observatory import Observatory, _SpanContext
 from ..obs.spans import NULL_SPAN, NullSpan
@@ -94,9 +94,15 @@ class Machine:
         self.power_cut_stats: Optional[dict] = None
         #: Incremented by every :meth:`reboot`; 0 for the first boot.
         self.boot_generation = 0
+        #: The last number :meth:`next_id` gave out, per kind of object.
+        self._last_ids: Dict[str, int] = {}
+        #: The booted kernel and the compositor its userspace runs; both
+        #: set at boot and dropped when the machine shuts down or reboots.
+        self.kernel = None
+        self.surfaceflinger = None
 
         self.cpu = CPU(profile.cpu_cores, profile.cpu_mhz)
-        self.gpu = GPU(self, speed_factor=profile.gpu_speed_factor)
+        self.gpu = GPU(self.clock, self.costs, speed_factor=profile.gpu_speed_factor)
         self.display = Display(profile.display_width, profile.display_height)
         self.touchscreen = TouchScreen()
         self.accelerometer = Accelerometer()
@@ -146,6 +152,15 @@ class Machine:
     def now_ns(self) -> float:
         return self.clock.now_ns
 
+    def next_id(self, kind: str) -> int:
+        """Number the objects of one ``kind`` (sockets, surfaces, graphic
+        buffers ...) 1, 2, 3 ... on this machine, as pids and thread ids
+        are numbered: a run numbers them the same whatever ran before it
+        in the process, and a snapshot clone like a fresh boot."""
+        last = self._last_ids.get(kind, 0) + 1
+        self._last_ids[kind] = last
+        return last
+
     # -- thread helpers -------------------------------------------------------
 
     def spawn(
@@ -158,8 +173,30 @@ class Machine:
         self.scheduler.run()
 
     def shutdown(self) -> None:
-        """Kill all simulated threads and release their OS threads."""
+        """Kill all simulated threads and release their OS threads, then
+        let go of the booted software and cut what points back at the
+        machine (the scheduler's trace hook, the journal, the netstack,
+        the resource envelope), so the machine is freed by reference
+        count once its holders drop it.  What callers read afterwards
+        stays: the clock, the trace, the observatory, the storage, the
+        packet log and the kill log (DESIGN.md §9, "Lifetimes").  A
+        shut-down machine does not run or reboot again."""
         self.scheduler.shutdown()
+        self._unboot()
+        self.scheduler.trace_hook = None
+        self.storage.shutdown()
+        if self._net is not None:
+            self._net.shutdown()
+        if self.resources is not None:
+            self.resources.detach()
+
+    def _unboot(self) -> None:
+        """Drop the kernel and the compositor, each of which lets go of
+        what it built (``Kernel.shutdown``, ``SurfaceFlinger.shutdown``)."""
+        for software in (self.kernel, self.surfaceflinger):
+            if software is not None:
+                software.shutdown()
+        self.kernel = self.surfaceflinger = None
 
     # -- crash and reboot ------------------------------------------------------
 
@@ -182,7 +219,7 @@ class Machine:
             self.panic_reason = reason
             if power_loss and self.storage.journal is not None:
                 self.power_cut_stats = self.storage.journal.power_cut()
-            kernel = getattr(self, "kernel", None)
+            kernel = self.kernel
             if kernel is not None:
                 kernel.report_machine_panic(reason, power_loss=power_loss)
             else:
@@ -206,6 +243,7 @@ class Machine:
             "power_cut": self.power_cut_stats,
         }
         self.scheduler.shutdown()
+        self._unboot()
         self.scheduler.reopen()
         self._net = None
         self.faults = None

@@ -57,6 +57,12 @@ class FlashStorage:
             self.journal = JournalDevice(self, seed)
         return self.journal
 
+    def shutdown(self) -> None:
+        """The machine is off: the journal, which points back at this
+        device to count its writes, lets go of it.  Both stay readable."""
+        if self.journal is not None:
+            self.journal.storage = None
+
     def record_read(self, nbytes: int) -> None:
         self.bytes_read += nbytes
 

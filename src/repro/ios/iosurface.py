@@ -36,11 +36,7 @@ class AppleGPUNotPresentError(Exception):
 class IOSurface:
     """One surface object as seen by iOS user space."""
 
-    _next_id = 1
-
     def __init__(self, width_px: int, height_px: int, pixels: PixelBuffer):
-        self.surface_id = IOSurface._next_id
-        IOSurface._next_id += 1
         self.width_px = width_px
         self.height_px = height_px
         self._pixels = pixels
@@ -57,7 +53,7 @@ class IOSurface:
         return self._pixels
 
     def __repr__(self) -> str:
-        return f"<IOSurface #{self.surface_id} {self.width_px}x{self.height_px}>"
+        return f"<IOSurface {self.width_px}x{self.height_px}>"
 
 
 # -- native library (Apple hardware path) ----------------------------------------

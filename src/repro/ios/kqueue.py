@@ -39,20 +39,17 @@ class KEvent:
 
 
 class KQueue:
-    """One kqueue instance: a registration table."""
+    """One kqueue instance: a registration table, numbered per machine."""
 
-    _next_id = 1
-
-    def __init__(self) -> None:
-        self.kq_id = KQueue._next_id
-        KQueue._next_id += 1
+    def __init__(self, kq_id: int) -> None:
+        self.kq_id = kq_id
         self.filters: Dict[Tuple[int, int], KEvent] = {}
 
 
 def kqueue(ctx: "UserContext") -> KQueue:
     """kqueue(2) — entirely user-level here."""
     ctx.machine.charge("gl_call_cpu", 0.1)  # negligible library work
-    kq = KQueue()
+    kq = KQueue(ctx.machine.next_id("kqueue"))
     ctx.lib_state(LIB_STATE_KEY)[f"kq:{kq.kq_id}"] = kq
     return kq
 

@@ -78,7 +78,7 @@ class EAGLContext:
 def _native_EAGLContextCreate(ctx: "UserContext") -> EAGLContext:
     _require_apple_gpu(ctx)
     ctx.machine.charge("gl_call_cpu")
-    compositor = getattr(ctx.machine, "surfaceflinger", None)
+    compositor = ctx.machine.surfaceflinger
     if compositor is None:
         raise AppleGPUNotPresentError("no display compositor is running")
     return EAGLContext(agl.GLContext())

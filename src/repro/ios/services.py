@@ -94,14 +94,17 @@ def launchd_main(ctx: "UserContext", argv: List[str]) -> int:
                 "launchd", "service_start", path=path, pid=pid
             )
 
-    def respawn_later(path: str, backoff_ns: float) -> None:
+    def respawn_later(hctx: "UserContext", path: str, backoff_ns: float) -> None:
+        # Through the handler's context, not ``libc``: a handler that held
+        # this thread's facade would make a reference cycle through the
+        # process's signal actions.
         def respawner(rctx: "UserContext") -> int:
             rctx.libc.sleep_ns(backoff_ns)
             if path not in throttled:
                 spawn_service(rctx, path)
             return 0
 
-        libc.pthread_create(
+        hctx.libc.pthread_create(
             respawner, name=f"respawn:{path.rsplit('/', 1)[-1]}"
         )
 
@@ -143,7 +146,7 @@ def launchd_main(ctx: "UserContext", argv: List[str]) -> int:
         obs = hctx.machine.obs
         if obs is not None and obs.causal is not None:
             obs.causal.follow(f"launchd respawn {path}")
-        respawn_later(path, backoff_ns)
+        respawn_later(hctx, path, backoff_ns)
 
     libc.signal(XNU_SIGCHLD, sigchld_handler)
 

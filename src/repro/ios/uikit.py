@@ -293,7 +293,7 @@ class UIApplication:
             create = self._framework("OpenGLES", "_CiderCreateWindowSurface")
             surface = create(self.ctx.process.name, width, height)
         else:
-            compositor = getattr(self.ctx.machine, "surfaceflinger", None)
+            compositor = self.ctx.machine.surfaceflinger
             if compositor is None:
                 raise RuntimeError("no window system available")
             surface = compositor.create_surface(
@@ -405,6 +405,19 @@ class UIApplication:
     def _key_pressed(self, target: UITextField, ch: str) -> None:
         target.text += ch
 
+    def _tear_down(self) -> None:
+        """The run loop is over, the app terminated or killed: empty the
+        view tree (a view and its superview, and a view and its gesture
+        recognizers, point at each other) and drop the delegate, which
+        points back, so the app is freed by reference count."""
+        views = [self.window]
+        while views:
+            view = views.pop()
+            views.extend(view.subviews)
+            view.subviews = []
+            view.gesture_recognizers = []
+        self.delegate = None
+
     # -- the run loop ------------------------------------------------------------------------
 
     def run(self) -> int:
@@ -440,8 +453,7 @@ def _apply_cider_arguments(ctx: "UserContext", app: UIApplication) -> None:
     state = ctx.lib_state(LIB_STATE_KEY)
     if "--cider-surface" in argv:
         surface_id = int(argv[argv.index("--cider-surface") + 1])
-        registry = getattr(ctx.machine, "cider_surfaces", {})
-        surface = registry.get(surface_id)
+        surface = ctx.machine.surfaceflinger.published.get(surface_id)
         if surface is not None:
             state["window_surface"] = surface
     if "--cider-socket" in argv:
@@ -454,12 +466,15 @@ def _apply_cider_arguments(ctx: "UserContext", app: UIApplication) -> None:
 def UIApplicationMain(ctx: "UserContext", delegate: object) -> int:
     """The UIKit entry point every iOS app's main() calls."""
     app = UIApplication(ctx, delegate)
-    _apply_cider_arguments(ctx, app)
-    launched = getattr(delegate, "did_finish_launching", None)
-    if launched is not None:
-        launched(app)
-    app.render()
-    return app.run()
+    try:
+        _apply_cider_arguments(ctx, app)
+        launched = getattr(delegate, "did_finish_launching", None)
+        if launched is not None:
+            launched(app)
+        app.render()
+        return app.run()
+    finally:
+        app._tear_down()
 
 
 def uikit_exports() -> Dict[str, object]:

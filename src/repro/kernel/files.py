@@ -10,10 +10,12 @@ readiness and exposes wait queues so ``select`` and blocking reads can
 park on it.  Most open files are never waited on, so an open file builds
 its ``read_waitq`` or ``write_waitq`` only when code first reads it (a
 thread about to park, or ``select`` about to block): each is a
-``functools.cached_property``, kept on the instance once built.  A file
-whose queues belong to something else assigns the attribute: a pipe's
-ends share the two queues ``make_pipe`` builds, a socket's are its
-streams', and an input device's read queue is its driver's.
+``functools.cached_property``, kept on the instance once built, and a
+wakeup goes only to a queue that exists (:meth:`OpenFile.wake_waiters`).
+A file whose queues belong to something else assigns the attribute or
+overrides it: a socket's are its streams', an input device's read queue
+is its device's ``event_waitq``, and a pipe's writer shares its reader's
+writability queue.
 """
 
 from __future__ import annotations
@@ -60,6 +62,13 @@ class OpenFile:
     @cached_property
     def write_waitq(self) -> WaitQueue:
         return WaitQueue(f"{type(self).__name__}.write")
+
+    def wake_waiters(self, queue: str) -> None:
+        """Wake every thread parked on the named queue (``"read_waitq"``
+        or ``"write_waitq"``) if the queue was ever built."""
+        waitq = self.__dict__.get(queue)
+        if waitq is not None:
+            waitq.wake_all()
 
     # readiness ---------------------------------------------------------------
     def poll_readable(self) -> bool:

@@ -70,7 +70,9 @@ class Kernel:
         #: True on Cider kernels: persona checking runs on every syscall
         #: entry (the +8.5% null-syscall overhead, paper §6.2).
         self.cider_enabled = False
-        #: Duct-taped subsystems attach themselves here.
+        #: Duct-taped subsystems attach themselves here, and the linker
+        #: that linked them.
+        self.ducttape_linker: Optional[object] = None
         self.mach_subsystem: Optional[object] = None
         self.psynch_subsystem: Optional[object] = None
         self.iokit: Optional[object] = None
@@ -150,6 +152,22 @@ class Kernel:
 
         self.booted = True
         return self
+
+    def shutdown(self) -> None:
+        """Let go of what this kernel built once its machine powers off or
+        reboots, every simulated thread already dead, so all of it is
+        freed by reference count (DESIGN.md §9, "Lifetimes").  Only the
+        hooks this kernel put on the machine and the cycles among its own
+        objects are cut; its crash reports stay readable."""
+        machine = self.machine
+        machine.touchscreen.attach_driver(None)
+        machine.accelerometer.attach_driver(None)
+        machine.scheduler.on_watchdog_kill = None
+        self.memory_pressure_listeners.clear()
+        self.pressure_evictors.clear()
+        self.processes.shutdown()
+        if self.ducttape_linker is not None:
+            self.ducttape_linker.shutdown()
 
     def add_device(self, name: str, driver: object, dev_class: str = "misc"):
         """Linux ``device_add``: register + /dev node + Cider hooks."""
@@ -419,7 +437,7 @@ class Kernel:
     def _watchdog_victim(self, sim_thread: object) -> None:
         """Scheduler watchdog decided to kill ``sim_thread``: tombstone and
         tear down the owning process (ANR-style)."""
-        kthread = getattr(sim_thread, "kthread", None)
+        kthread = sim_thread.kthread
         if kthread is None:
             return
         process = kthread.process
@@ -458,7 +476,7 @@ class Kernel:
         scheduler = self.machine.scheduler
         if not scheduler.in_sim_thread():
             return None
-        return getattr(scheduler.current_thread(), "kthread", None)
+        return scheduler.current_thread().kthread
 
     # -- persona switching ------------------------------------------------------------
 
@@ -596,6 +614,8 @@ class Kernel:
                 traceback=_traceback.format_exc(),
             )
             self._fatal_signal(thread.process, SIGSEGV)
+        finally:
+            ctx._libc = None  # the facade points back at ctx
 
     # -- file opening ------------------------------------------------------------------
 

@@ -45,7 +45,6 @@ class PipeReader(OpenFile):
         return False
 
     def read(self, nbytes: int) -> bytes:
-        sched = self.machine.scheduler
         while not self.core.buffer:
             if not self.core.writer_open:
                 return b""  # EOF
@@ -59,21 +58,27 @@ class PipeReader(OpenFile):
         if hb is not None:
             # Data edge: the writer's history arrived with the bytes.
             hb.acquire(self.core)
-        self.write_waitq.wake_all()
+        self.wake_waiters("write_waitq")
         return data
 
     def on_last_close(self) -> None:
         self.core.reader_open = False
-        self.write_waitq.wake_all()
+        self.wake_waiters("write_waitq")
 
 
 class PipeWriter(OpenFile):
     def __init__(self, machine: "Machine", core: _PipeCore) -> None:
         super().__init__(machine, O_WRONLY)
         self.core = core
-        # The reader's waitq lives on the reader object; share queues via
-        # the core by rebinding both ends to the same queues.
         self.reader: PipeReader = None  # type: ignore[assignment]
+
+    @property
+    def write_waitq(self) -> WaitQueue:
+        # Both ends share one writability queue (the reader's): the reader
+        # wakes it after draining, and blocked writers park on it — and so
+        # does select-for-writable on this end, which would otherwise
+        # park on a queue nothing ever wakes.
+        return self.reader.write_waitq
 
     def poll_readable(self) -> bool:
         return False
@@ -86,8 +91,7 @@ class PipeWriter(OpenFile):
         kernel: "Kernel" = self.machine.kernel  # type: ignore[attr-defined]
         if not self.core.reader_open:
             # POSIX: SIGPIPE to the writer, then EPIPE.
-            thread = sched.current_thread()
-            kthread = getattr(thread, "kthread", None)
+            kthread = sched.current_thread().kthread
             if kthread is not None:
                 kernel.send_signal_to_process(kthread.process, SIGPIPE)
             raise SyscallError(EPIPE, "reader closed")
@@ -104,28 +108,22 @@ class PipeWriter(OpenFile):
         hb = self.machine.hb
         if hb is not None:
             hb.release(self.core)
-        self.reader.read_waitq.wake_all()
+        self.reader.wake_waiters("read_waitq")
         return len(accepted)
 
     def on_last_close(self) -> None:
         self.core.writer_open = False
-        self.reader.read_waitq.wake_all()
+        self.reader.wake_waiters("read_waitq")
 
 
 def make_pipe(machine: "Machine"):
     """Create a connected (reader, writer) pair.
 
-    The pipe's two wait queues are built here, once: every close wakes
-    one, so building them on first wait would build them at close."""
+    The pipe's two wait queues are the reader's, built on first wait
+    like any open file's; a transfer or a close wakes only a queue that
+    exists, since nobody can wait on one that does not."""
     core = _PipeCore(machine)
     reader = PipeReader(machine, core)
     writer = PipeWriter(machine, core)
     writer.reader = reader
-    reader.read_waitq = WaitQueue("PipeReader.read")
-    # Both ends share one writability queue (the reader's): the reader
-    # wakes ``self.write_waitq`` after draining, and blocked writers park
-    # on ``reader.write_waitq`` — but select-for-writable parks on the
-    # *writer's* queue.  Aliasing them makes that wakeup reach pollers
-    # too instead of silently never firing.
-    reader.write_waitq = writer.write_waitq = WaitQueue("PipeReader.write")
     return reader, writer

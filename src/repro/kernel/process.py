@@ -90,7 +90,8 @@ class Process:
         self.children: List[Process] = []
         self.state = "running"  # running | zombie | dead
         self.exit_code: Optional[int] = None
-        self.child_exit_waitq = WaitQueue(f"wait:{pid}")
+        #: Built by the first ``waitpid`` that has to block.
+        self.child_exit_waitq: Optional[WaitQueue] = None
         self.binary: Optional["BinaryImage"] = None
         self.argv: List[str] = []
         self.loaded_libraries: Dict[str, "BinaryImage"] = {}
@@ -354,12 +355,11 @@ class ProcessManager:
         sim = self.kernel.machine.scheduler.spawn(
             runner, name=f"{process.name}:{thread.tid}", daemon=daemon
         )
-        sim.kthread = thread  # type: ignore[attr-defined]
+        sim.kthread = thread
         thread.sim_thread = sim
 
     def current_kthread(self) -> KThread:
-        sim = self.kernel.machine.scheduler.current_thread()
-        kthread = getattr(sim, "kthread", None)
+        kthread = self.kernel.machine.scheduler.current_thread().kthread
         if kthread is None:
             raise RuntimeError("current sim thread has no kernel thread")
         return kthread
@@ -389,6 +389,7 @@ class ProcessManager:
             try:
                 return body(ctx)
             finally:
+                ctx._libc = None  # the facade points back at ctx
                 thread.exited = True
                 if thread in process.threads:
                     process.threads.remove(thread)
@@ -435,7 +436,10 @@ class ProcessManager:
         process.argv = argv
         start = self.kernel.exec_image(process, thread, file, argv)
         ctx = UserContext(self.kernel, thread)
-        result = start(ctx)
+        try:
+            result = start(ctx)
+        finally:
+            ctx._libc = None  # the facade points back at ctx
         code = result if isinstance(result, int) else 0
         self.finalize_process(process, code)
         return code
@@ -502,15 +506,18 @@ class ProcessManager:
         ctx = UserContext(kernel, child_thread)
 
         def body() -> object:
-            result = child_body(ctx)
-            code = result if isinstance(result, int) else 0
-            # Returning from the forked continuation flows through the C
-            # library's exit path, so registered atexit handlers run —
-            # on iOS that is one dyld-registered callback per loaded
-            # image (paper §6.2: "execution of 115 handlers on exit").
-            exit_fn = getattr(ctx.libc, "exit", None)
-            if exit_fn is not None and child.libc_factory is not None:
-                exit_fn(code)  # raises ProcessExited via the exit trap
+            try:
+                result = child_body(ctx)
+                code = result if isinstance(result, int) else 0
+                # Returning from the forked continuation flows through the
+                # C library's exit path, so registered atexit handlers run
+                # — on iOS that is one dyld-registered callback per loaded
+                # image (paper §6.2: "execution of 115 handlers on exit").
+                exit_fn = getattr(ctx.libc, "exit", None)
+                if exit_fn is not None and child.libc_factory is not None:
+                    exit_fn(code)  # raises ProcessExited via the exit trap
+            finally:
+                ctx._libc = None  # the facade points back at ctx
             self.finalize_process(child, code)
             return code
 
@@ -613,7 +620,8 @@ class ProcessManager:
                     scheduler_kill(other.sim_thread)
         parent = self.table.get(process.ppid)
         if parent is not None and parent.state == "running":
-            parent.child_exit_waitq.wake_all()
+            if parent.child_exit_waitq is not None:
+                parent.child_exit_waitq.wake_all()
             from .signals import SIGCHLD
 
             self.kernel.send_signal_to_process(parent, SIGCHLD, process.pid)
@@ -647,12 +655,30 @@ class ProcessManager:
                     process.children.remove(child)
                     self._reap(child)
                     return child.pid, child.exit_code
-            self.kernel.wait_interruptible(process.child_exit_waitq)
+            waitq = process.child_exit_waitq
+            if waitq is None:
+                waitq = process.child_exit_waitq = WaitQueue(f"wait:{process.pid}")
+            self.kernel.wait_interruptible(waitq)
 
     def _reap(self, process: Process) -> None:
-        """Drop a zombie from the table: nobody will wait for it again."""
+        """Drop a zombie from the table: nobody will wait for it again.
+
+        Its thread list and its libraries' state go too: the threads
+        point back at it (``KThread.process``), and so may what a library
+        keeps for it (an ``NSURLSession`` holding its context).  An orphan is
+        reaped by its own thread as it exits; that thread keeps its
+        ``process`` and unwinds as before."""
         process.state = "dead"
+        process.threads.clear()
+        process.lib_state.clear()
         del self.table[process.pid]
+
+    def shutdown(self) -> None:
+        """The kernel is going down and every thread is dead: reap every
+        process left, and let go of the kernel."""
+        for process in list(self.table.values()):
+            self._reap(process)
+        self.kernel = None
 
     def live_processes(self) -> List[Process]:
         return [p for p in self.table.values() if p.state == "running"]

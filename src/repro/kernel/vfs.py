@@ -536,14 +536,16 @@ class VFS:
     def walk(self, path: str = "/") -> List[str]:
         """All file paths under ``path`` (for tests and the installer)."""
         result: List[str] = []
-
-        def _walk(node: Inode, prefix: str) -> None:
+        # Depth first, names in order: a stack of (node, path) pairs, not
+        # a recursive closure, which would be a reference cycle.
+        stack = [(self.resolve(path), "" if path == "/" else path.rstrip("/"))]
+        while stack:
+            node, prefix = stack.pop()
             if isinstance(node, Directory):
-                for name in node.names():
-                    _walk(node.entries[name], f"{prefix}/{name}")
+                stack.extend(
+                    (node.entries[name], f"{prefix}/{name}")
+                    for name in reversed(node.names())
+                )
             else:
                 result.append(prefix or "/")
-
-        start = self.resolve(path)
-        _walk(start, "" if path == "/" else path.rstrip("/"))
         return result

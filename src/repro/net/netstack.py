@@ -138,6 +138,13 @@ class NetStack:
         #: keeps the transmit path on its zero-cost fast branch.
         self.schedule: Optional[LinkSchedule] = None
 
+    def shutdown(self) -> None:
+        """The machine is off: let go of it and of the peer stacks, each
+        of which points back.  The packet log and the counters stay
+        readable."""
+        self.machine = None
+        self.peers.clear()
+
     # -- configuration ------------------------------------------------------
 
     def install_schedule(self, schedule: LinkSchedule) -> LinkSchedule:

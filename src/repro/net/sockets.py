@@ -188,16 +188,13 @@ class TCPListener:
 class INetSocket(OpenFile):
     """One AF_INET endpoint (stream or datagram)."""
 
-    _next_id = 1
-
     def __init__(self, machine: "Machine", sock_type: int = SOCK_STREAM) -> None:
         super().__init__(machine, O_RDWR)
         if sock_type not in (SOCK_STREAM, SOCK_DGRAM):
             raise SyscallError(EINVAL, f"socket type {sock_type}")
         self.stack: NetStack = machine.net
         self.type = sock_type
-        self.sock_id = INetSocket._next_id
-        INetSocket._next_id += 1
+        self.sock_id = machine.next_id("inet-socket")
         self.local: Optional[Addr] = None
         self.peer: Optional[Addr] = None
         self.listener: Optional[TCPListener] = None
@@ -218,9 +215,8 @@ class INetSocket(OpenFile):
         #: Datagram receive queue: (payload, source address, causal
         #: carrier) triples — the carrier is packet metadata, never data.
         self._dgrams: Deque[Tuple[bytes, Addr, object]] = deque()
-        self._dgram_waitq = WaitQueue("inet-dgram")
         if sock_type == SOCK_DGRAM:
-            self.read_waitq = self._dgram_waitq
+            self.read_waitq = self._dgram_waitq = WaitQueue("inet-dgram")
         # Socket buffers are real memory: charge the machine envelope.
         self._ram_reserved = 0
         res = machine.resources
@@ -873,7 +869,8 @@ class INetSocket(OpenFile):
             self.shut_rd = True
             if self._rx is not None:
                 self._rx.waitq.wake_all()
-            self._dgram_waitq.wake_all()
+            if self.type == SOCK_DGRAM:
+                self._dgram_waitq.wake_all()
 
     def on_last_close(self) -> None:
         if self._tx is not None:

@@ -211,6 +211,13 @@ class ResourceEnvelope:
     def attach(self, machine: "Machine") -> None:
         self._machine = machine
 
+    def detach(self) -> None:
+        """The machine is off: let go of it and of the pressure listeners
+        (its kernel's daemons), each of which leads back to it.  The
+        budgets and the kill log stay readable."""
+        self._machine = None
+        self._pressure_callbacks.clear()
+
     @property
     def now_ns(self) -> float:
         if self._machine is None:

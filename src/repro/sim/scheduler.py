@@ -204,7 +204,10 @@ class SimThread(_TokenHolder):
         self.anr_flagged = False
         self._scheduler = scheduler
         self._body = body
-        self._joiners = WaitQueue(f"join:{name}")
+        #: The kernel thread this thread runs, if a kernel spawned it.
+        self.kthread: Optional[object] = None
+        #: Threads joining this one, built by the first :meth:`Scheduler.join`.
+        self._joiners: Optional[WaitQueue] = None
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -439,6 +442,8 @@ class Scheduler:
     def join(self, thread: SimThread) -> object:
         """Block the current thread until ``thread`` finishes."""
         while thread.alive:
+            if thread._joiners is None:
+                thread._joiners = WaitQueue(f"join:{thread.name}")
             self.block_on(thread._joiners)
         if thread.failure is not None:
             raise thread.failure
@@ -785,14 +790,18 @@ class Scheduler:
     def _on_thread_exit(self, thread: SimThread) -> None:
         """Final act of a dying thread: free its worker, then pass the
         token on without waiting.  The worker is idle before the token
-        moves, so whoever runs next can spawn onto it."""
+        moves, so whoever runs next can spawn onto it.  The thread stays
+        listed until the next drive pass, as the tombstone a snapshot
+        keeps; dropping its body and kernel thread now lets its process
+        be freed by reference count (DESIGN.md §9, "Lifetimes")."""
         worker = thread._worker
-        thread._gate = thread._worker = None
+        thread._gate = thread._worker = thread._body = thread.kthread = None
         worker.task = None
         _idle_workers.append(worker)
         target = None
         if not self._shutdown:
-            thread._joiners.wake_all()
+            if thread._joiners is not None:
+                thread._joiners.wake_all()
             target = self._pick()
         self._current = target or self._controller
         self._current._wake()

@@ -175,6 +175,14 @@ class IOKitFramework:
         self._next_service_id = 0x1001
         self._next_connect_id = 0x5001
 
+    def shutdown(self) -> None:
+        """The kernel is going down: take the registry apart (each entry
+        and its parent point at each other) and drop every connection
+        (each holds its task)."""
+        for entry in self.root.iterate():
+            entry.children.clear()
+        self._connections.clear()
+
     # -- driver registration -----------------------------------------------------
 
     def register_personality(self, personality: DriverPersonality) -> None:

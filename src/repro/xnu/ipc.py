@@ -109,13 +109,14 @@ class MachMessage:
 
 
 class IPCPort:
-    """A Mach port: one receive right, a message queue, N send rights."""
+    """A Mach port: one receive right, a message queue, N send rights.
 
-    _next_seq = 1
+    ``seq`` numbers the ports of one Mach IPC subsystem from 1."""
 
-    def __init__(self, xnu: XNUKernelAPI, qlimit: int = MACH_PORT_QLIMIT_LARGE):
-        self.seq = IPCPort._next_seq
-        IPCPort._next_seq += 1
+    def __init__(
+        self, xnu: XNUKernelAPI, seq: int, qlimit: int = MACH_PORT_QLIMIT_LARGE
+    ):
+        self.seq = seq
         self._xnu = xnu
         self.messages: List[object] = xnu.queue_init()
         self.qlimit = qlimit
@@ -201,6 +202,7 @@ class MachIPC:
         self._host_bootstrap: Optional[IPCPort] = None
         self.messages_sent = 0
         self.messages_received = 0
+        self._last_port_seq = 0
 
     # -- spaces ------------------------------------------------------------------
 
@@ -260,12 +262,24 @@ class MachIPC:
         space.names.clear()
         return KERN_SUCCESS
 
+    def shutdown(self) -> None:
+        """The kernel is going down: drop every task's name space.  A port
+        and the space that receives on it point at each other."""
+        for space in self._spaces.values():
+            space.names.clear()
+        self._spaces.clear()
+        self._host_bootstrap = None
+
     # -- port allocation ------------------------------------------------------------
+
+    def _new_port(self) -> IPCPort:
+        self._last_port_seq += 1
+        return IPCPort(self.xnu, self._last_port_seq)
 
     def mach_port_allocate(self, task: object) -> Tuple[int, int]:
         """Allocate a receive right.  Returns (kr, name)."""
         space = self.space_for_task(task)
-        port = IPCPort(self.xnu)
+        port = self._new_port()
         port.receiver_space = space
         name = space.insert_right(port, RIGHT_RECEIVE)
         self.xnu.charge("mach_port_alloc")
@@ -342,14 +356,14 @@ class MachIPC:
         space = self.space_for_task(task)
         port = getattr(space, "task_port", None)
         if port is None:
-            port = IPCPort(self.xnu)
+            port = self._new_port()
             space.task_port = port  # type: ignore[attr-defined]
         return self.make_send_right(task, port)
 
     def register_kernel_port(self, handler) -> IPCPort:
         """Create a kernel-owned port whose messages dispatch inline
         (the path I/O Kit user clients use)."""
-        port = IPCPort(self.xnu)
+        port = self._new_port()
         port.kernel_handler = handler
         return port
 

@@ -328,7 +328,7 @@ def test_a_trap_charges_entry_dispatch_and_exit(macho, observed):
 
 #: Python calls per operation from the C-library method down (the
 #: ``sys.setprofile`` "call" events), the same in both formats.
-CALLS_PER_OPERATION = {"getppid": 5, "read": 10, "open_close": 23, "pipe_close": 37}
+CALLS_PER_OPERATION = {"getppid": 5, "read": 10, "open_close": 23, "pipe_close": 35}
 
 
 def _calls(operation):
