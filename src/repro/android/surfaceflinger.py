@@ -17,7 +17,7 @@ cost is folded into the ``composition`` charge.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List
 
 from ..hw.display import PixelBuffer
 from ..hw.gpu import GpuCommand
@@ -122,12 +122,6 @@ class SurfaceFlinger:
                 res.release_gralloc(surface.gralloc_reserved)
             surface.gralloc_reserved = 0
         self.composite()
-
-    def find_surface(self, name: str) -> Optional[Surface]:
-        for surface in self.surfaces:
-            if surface.name == name:
-                return surface
-        return None
 
     # -- composition -----------------------------------------------------------------
 

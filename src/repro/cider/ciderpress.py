@@ -119,9 +119,6 @@ class CiderPress(AndroidApp):
             }
         )
 
-    def forward_accelerometer(self, ax: float, ay: float, az: float) -> None:
-        self._forward({"type": "accel", "ax": ax, "ay": ay, "az": az})
-
     # -- proxied app state changes ------------------------------------------------------
 
     def on_pause(self, ctx: UserContext) -> None:

@@ -152,13 +152,7 @@ class LinuxDuctTapeEnv(XNUKernelAPI):
         self._kernel.wait_interruptible(self._waitq_for(event))
 
     def thread_block_timeout(self, event: object, timeout_ns: float) -> bool:
-        woken = self._machine.scheduler.block_on_timeout(
-            self._waitq_for(event), timeout_ns
-        )
-        thread = self._kernel.current_kthread_or_none()
-        if thread is not None:
-            self._kernel.check_interrupted(thread)
-        return woken
+        return self._kernel.wait_interruptible(self._waitq_for(event), timeout_ns)
 
     def thread_wakeup(self, event: object) -> None:
         entry = self._events.get(id(event))

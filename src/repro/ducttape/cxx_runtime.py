@@ -45,9 +45,6 @@ class OSMetaClassRegistry:
             return False
         return issubclass(cls, target)
 
-    def class_names(self):
-        return sorted(self._classes)
-
 
 class OSObject:
     """Root of the libkern object hierarchy: retain/release lifetime."""

@@ -244,6 +244,10 @@ class Machine:
         }
         self.scheduler.shutdown()
         self._unboot()
+        if self.resources is not None:
+            # Drop the dead kernel's pressure daemons, which hold it.
+            self.resources.detach()
+            self.resources.attach(self)
         self.scheduler.reopen()
         self._net = None
         self.faults = None
@@ -290,10 +294,6 @@ class Machine:
         envelope.attach(self)
         self.resources = envelope
         return envelope
-
-    def clear_resources(self) -> None:
-        """Detach the envelope: the fast path is restored exactly."""
-        self.resources = None
 
     # -- happens-before monitoring ------------------------------------------------
 

@@ -31,12 +31,6 @@ _KIND_TO_MSG = {
 }
 
 
-def encode_event(event: dict) -> bytes:
-    """CiderPress-side framing helper."""
-    payload = pickle.dumps(event)
-    return struct.pack(">I", len(payload)) + payload
-
-
 def _read_exact(libc, fd: int, nbytes: int) -> Optional[bytes]:
     chunks = b""
     while len(chunks) < nbytes:

@@ -461,12 +461,22 @@ class Kernel:
 
     # -- blocking with signal/death checks ----------------------------------------
 
-    def wait_interruptible(self, waitq: WaitQueue) -> None:
-        """Block on ``waitq``; on wake, deliver signals / honour death."""
-        self.machine.scheduler.block_on(waitq)
+    def wait_interruptible(
+        self, waitq: WaitQueue, timeout_ns: Optional[float] = None
+    ) -> bool:
+        """Block on ``waitq``, for at most ``timeout_ns`` of virtual time
+        when one is given; on wake, deliver signals / honour death.
+        Returns False when the deadline fired first."""
+        scheduler = self.machine.scheduler
+        if timeout_ns is None:
+            scheduler.block_on(waitq)
+            woken = True
+        else:
+            woken = scheduler.block_on_timeout(waitq, timeout_ns)
         thread = self.current_kthread_or_none()
         if thread is not None:
             self.check_interrupted(thread)
+        return woken
 
     def check_interrupted(self, thread: KThread) -> None:
         self.deliver_pending_signals(thread)

@@ -601,23 +601,21 @@ class ProcessManager:
         self.kernel.memory_pressure_listeners.pop(process.pid, None)
         # Mach IPC teardown: the task's receive rights die, so peers
         # blocked on its ports observe dead names instead of hanging.
-        mach = self.kernel.mach_subsystem
-        if mach is not None:
-            terminate = getattr(mach, "task_terminate", None)
-            if terminate is not None and getattr(
-                mach, "space_exists", lambda _t: False
-            )(process):
-                terminate(process)
+        kernel = self.kernel
+        mach = kernel.mach_subsystem
+        if mach is not None and mach.space_exists(process):
+            mach.task_terminate(process)
+        # Its I/O Kit connections close with it (each holds the task).
+        if kernel.iokit is not None:
+            kernel.iokit.task_terminate(process)
         # Kill any remaining sibling threads of the process.
         current_sim = None
-        scheduler = self.kernel.machine.scheduler
+        scheduler = kernel.machine.scheduler
         if scheduler.in_sim_thread():
             current_sim = scheduler.current_thread()
         for other in list(process.threads):
             if other.sim_thread is not None and other.sim_thread is not current_sim:
-                scheduler_kill = getattr(scheduler, "kill_thread", None)
-                if scheduler_kill is not None:
-                    scheduler_kill(other.sim_thread)
+                scheduler.kill_thread(other.sim_thread)
         parent = self.table.get(process.ppid)
         if parent is not None and parent.state == "running":
             if parent.child_exit_waitq is not None:

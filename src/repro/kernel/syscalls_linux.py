@@ -14,18 +14,12 @@ from typing import TYPE_CHECKING, Callable, List, Optional
 from ..net.sockets import AF_INET, AF_UNIX, SOCK_STREAM, INetSocket
 from ..persona.abi import DispatchTable, KernelABI
 from ..sim.resources import RLIMIT_AS, RLIMIT_NOFILE
-from .errno import EINVAL, ENOTSOCK, ENOTTY, EOPNOTSUPP, SyscallError
-from .files import (
-    DeviceHandle,
-    DirectoryHandle,
-    FDTable,
-    OpenFile,
-    fd_alloc,
-)
+from .errno import EINVAL, ENOTSOCK, ENOTTY, SyscallError
+from .files import DeviceHandle, DirectoryHandle, FDTable, fd_alloc
 from .pipes import make_pipe
 from .select import do_select
 from .signals import SigAction
-from .unix_sockets import UnixSocket, accept, bind, connect, socketpair
+from .unix_sockets import Socket, UnixSocket, socketpair
 
 if TYPE_CHECKING:
     from .kernel import Kernel
@@ -350,7 +344,7 @@ def sys_socket(
     an EMFILE after the socket object exists rolls its buffers back.
     """
     if domain == AF_INET:
-        sock: OpenFile = INetSocket(kernel.machine, sock_type)
+        sock: Socket = INetSocket(kernel.machine, sock_type)
     elif domain == AF_UNIX:
         sock = UnixSocket(kernel.machine)
     else:
@@ -362,16 +356,14 @@ def sys_socket(
         raise
 
 
-def _sock_for(thread: "KThread", fd: int) -> UnixSocket:
-    handle = thread.process.fd_table.get(fd)
-    if not isinstance(handle, UnixSocket):
-        raise SyscallError(EINVAL, "not a socket")
-    return handle
+# The rest of the family is one method call on the socket behind the
+# descriptor (repro.kernel.unix_sockets.Socket): a string address is an
+# AF_UNIX path, an ``(ip, port)`` pair an INET one.
 
 
-def _any_sock_for(thread: "KThread", fd: int) -> OpenFile:
+def _sock(thread: "KThread", fd: int) -> Socket:
     handle = thread.process.fd_table.get(fd)
-    if not isinstance(handle, (UnixSocket, INetSocket)):
+    if not isinstance(handle, Socket):
         raise SyscallError(ENOTSOCK, "not a socket")
     return handle
 
@@ -379,46 +371,23 @@ def _any_sock_for(thread: "KThread", fd: int) -> OpenFile:
 def sys_bind(
     kernel: "Kernel", thread: "KThread", fd: int, addr: object, backlog: int = 8
 ):
-    """Polymorphic bind: a string is an AF_UNIX path (bind+listen, the
-    historical behaviour), an ``(ip, port)`` pair binds an INET socket."""
-    handle = _any_sock_for(thread, fd)
-    if isinstance(handle, INetSocket):
-        ip, port = addr  # type: ignore[misc]
-        handle.bind((str(ip), int(port)))
-        return 0
-    bind(kernel.machine, handle, str(addr), backlog)
+    """An AF_UNIX bind also listens, with ``backlog``."""
+    _sock(thread, fd).bind(addr, backlog)
     return 0
 
 
 def sys_listen(kernel: "Kernel", thread: "KThread", fd: int, backlog: int = 128):
-    handle = _any_sock_for(thread, fd)
-    if isinstance(handle, INetSocket):
-        handle.listen(backlog)
-        return 0
-    # AF_UNIX bind() already listens in this model; listen() adjusts the
-    # backlog of the existing listener.
-    if handle.listener is None:
-        raise SyscallError(EOPNOTSUPP, "listen before bind")
-    handle.listener.backlog = backlog
+    _sock(thread, fd).listen(backlog)
     return 0
 
 
 def sys_connect(kernel: "Kernel", thread: "KThread", fd: int, addr: object):
-    handle = _any_sock_for(thread, fd)
-    if isinstance(handle, INetSocket):
-        ip, port = addr  # type: ignore[misc]
-        handle.connect((str(ip), int(port)))
-        return 0
-    connect(kernel.machine, handle, str(addr))
+    _sock(thread, fd).connect(addr)
     return 0
 
 
 def sys_accept(kernel: "Kernel", thread: "KThread", fd: int):
-    handle = _any_sock_for(thread, fd)
-    if isinstance(handle, INetSocket):
-        peer: OpenFile = handle.accept()
-    else:
-        peer = accept(kernel.machine, handle)
+    peer = _sock(thread, fd).accept()
     try:
         return fd_alloc(thread.process, peer)
     except SyscallError:
@@ -433,24 +402,12 @@ def sys_sendto(
     data: bytes,
     addr: object = None,
 ):
-    handle = _any_sock_for(thread, fd)
-    if isinstance(handle, INetSocket):
-        dst = None
-        if addr is not None:
-            ip, port = addr  # type: ignore[misc]
-            dst = (str(ip), int(port))
-        return handle.sendto(data, dst)
-    if addr is not None:
-        raise SyscallError(EINVAL, "sendto with address on AF_UNIX stream")
-    return handle.write(data)
+    return _sock(thread, fd).sendto(data, addr)
 
 
 def sys_recvfrom(kernel: "Kernel", thread: "KThread", fd: int, nbytes: int):
     """Returns ``(data, source_address)``."""
-    handle = _any_sock_for(thread, fd)
-    if isinstance(handle, INetSocket):
-        return handle.recvfrom(nbytes)
-    return handle.read(nbytes), None
+    return _sock(thread, fd).recvfrom(nbytes)
 
 
 def sys_setsockopt(
@@ -461,43 +418,22 @@ def sys_setsockopt(
     option: int,
     value: object = 1,
 ):
-    handle = _any_sock_for(thread, fd)
-    if isinstance(handle, INetSocket):
-        handle.setsockopt(level, option, value)
+    _sock(thread, fd).setsockopt(level, option, value)
     return 0
 
 
 def sys_getsockopt(
     kernel: "Kernel", thread: "KThread", fd: int, level: int, option: int
 ):
-    handle = _any_sock_for(thread, fd)
-    if isinstance(handle, INetSocket):
-        return handle.getsockopt(level, option)
-    return 0
+    return _sock(thread, fd).getsockopt(level, option)
 
 
 def sys_getsockname(kernel: "Kernel", thread: "KThread", fd: int):
-    handle = _any_sock_for(thread, fd)
-    if isinstance(handle, INetSocket):
-        return handle.getsockname()
-    return handle.bound_path
+    return _sock(thread, fd).getsockname()
 
 
 def sys_shutdown(kernel: "Kernel", thread: "KThread", fd: int, how: int = 2):
-    handle = _any_sock_for(thread, fd)
-    if isinstance(handle, INetSocket):
-        handle.shutdown(how)
-        return 0
-    # AF_UNIX: SHUT_WR/RDWR close the transmit stream (peer reads EOF),
-    # SHUT_RD closes receive (our reads return EOF, peer writes EPIPE).
-    if how not in (0, 1, 2):
-        raise SyscallError(EINVAL, f"shutdown how={how}")
-    if how >= 1 and handle._tx is not None:
-        handle._tx.open = False
-        handle._tx.waitq.wake_all()
-    if how in (0, 2) and handle._rx is not None:
-        handle._rx.open = False
-        handle._rx.waitq.wake_all()
+    _sock(thread, fd).shutdown(how)
     return 0
 
 

@@ -44,7 +44,8 @@ from .conditions import DIR_IN, DIR_OUT, LinkConditions, LinkSchedule
 
 if TYPE_CHECKING:
     from ..hw.machine import Machine
-    from .sockets import INetSocket, TCPListener
+    from ..kernel.unix_sockets import Listener
+    from .sockets import INetSocket
 
 #: The device's own Wi-Fi address and the in-sim infrastructure addresses
 #: (same scheme the Android emulator uses for its virtual network).
@@ -108,8 +109,8 @@ class NetStack:
             "localhost": LOOPBACK_IP,
             machine.profile.name: host_ip,
         }
-        #: (ip, port) -> TCPListener for listening stream sockets.
-        self.tcp_ports: Dict[Tuple[str, int], "TCPListener"] = {}
+        #: (ip, port) -> Listener for listening stream sockets.
+        self.tcp_ports: Dict[Tuple[str, int], "Listener"] = {}
         #: (ip, port) -> INetSocket for bound datagram sockets.
         self.udp_ports: Dict[Tuple[str, int], "INetSocket"] = {}
         #: host_ip -> peer NetStack on the same segment (cross-machine
@@ -260,7 +261,7 @@ class NetStack:
         self.tcp_ports[addr] = owner
 
     def promote_tcp(
-        self, addr: Tuple[str, int], owner: object, listener: "TCPListener"
+        self, addr: Tuple[str, int], owner: object, listener: "Listener"
     ) -> None:
         """Swap a bind-time placeholder claim for the live listener."""
         if self.tcp_ports.get(addr) is not owner:
@@ -274,7 +275,7 @@ class NetStack:
             return
         self.tcp_ports.pop(addr, None)
 
-    def lookup_tcp(self, ip: str, port: int) -> Optional["TCPListener"]:
+    def lookup_tcp(self, ip: str, port: int) -> Optional["Listener"]:
         listener = self.tcp_ports.get((ip, port))
         if listener is None and ip in self.local_ips:
             # A wildcard bind accepts on every local address.

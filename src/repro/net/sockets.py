@@ -44,10 +44,20 @@ Cross-cutting wiring:
 * **obs** — ``kernel.net.send`` / ``kernel.net.recv`` spans, aggregate and
   per-socket byte counters.
 
-Blocking semantics run through the deterministic scheduler exactly like
-AF_UNIX sockets: ``accept`` on an empty backlog, ``read`` on an empty
-stream, ``recvfrom`` on an empty queue and ``write`` against a full peer
-buffer all park on wait queues — or raise EAGAIN under ``O_NONBLOCK``.
+``INetSocket`` derives from the socket layer AF_UNIX uses too
+(:mod:`repro.kernel.unix_sockets`): a TCP direction is its
+:class:`~repro.kernel.unix_sockets.Stream`, a listening socket's state
+its :class:`~repro.kernel.unix_sockets.Listener`, and accept its accept
+loop, so the socket syscalls are one method call whatever the family.
+Every transfer is a happens-before edge for the race detector, as on
+AF_UNIX: a TCP stream's own, and for UDP ``sendto`` releases into the
+receiving socket and ``recvfrom`` acquires from it.
+
+Blocking runs through the deterministic scheduler: ``accept`` on an
+empty backlog, ``read`` on an empty stream, ``recvfrom`` on an empty
+queue and ``write`` against a full peer buffer all park in
+:meth:`Kernel.wait_interruptible <repro.kernel.kernel.Kernel.wait_interruptible>`
+(bounded by the deadlines above) — or raise EAGAIN under ``O_NONBLOCK``.
 ``read_waitq`` / ``write_waitq`` are aliased to the live queues so
 ``select``/``poll`` and the iOS ``kqueue`` (EVFILT_READ/EVFILT_WRITE)
 integrate with no socket-specific code.
@@ -73,7 +83,8 @@ from ..kernel.errno import (
     ETIMEDOUT,
     SyscallError,
 )
-from ..kernel.files import O_NONBLOCK, O_RDWR, OpenFile
+from ..kernel.files import O_NONBLOCK
+from ..kernel.unix_sockets import SOCK_CAPACITY, Listener, Socket, Stream
 from .netstack import DNS_PORT, DNS_SERVERS, LOOPBACK_IP, WILDCARD_IP, NetStack
 
 if TYPE_CHECKING:
@@ -109,8 +120,7 @@ TCP_KEEPCNT = 6
 #: resets the connection.
 TCP_USER_TIMEOUT = 18
 
-#: Per-direction stream buffer (and the congestion window).
-SOCK_CAPACITY = 65536
+#: The congestion window (``SOCK_CAPACITY`` is the per-direction buffer).
 TCP_WINDOW = 65536
 #: RAM the envelope charges per socket: send + receive buffer halves.
 SOCK_RAM_BYTES = SOCK_CAPACITY
@@ -138,23 +148,6 @@ TCP_KEEPCNT_DEFAULT = 3
 Addr = Tuple[str, int]
 
 
-class _NetStream:
-    """One direction of a TCP connection."""
-
-    __slots__ = ("buffer", "open", "waitq", "unacked", "carrier")
-
-    def __init__(self) -> None:
-        self.buffer = bytearray()
-        self.open = True
-        self.waitq = WaitQueue("inet-stream")
-        #: Bytes sent since the window model last charged an ACK RTT.
-        self.unacked = 0
-        #: Causal carrier riding in segment metadata (repro.obs.causal):
-        #: set by the last traced write, consumed by the next read.
-        #: Pure metadata — never serialised, never charged.
-        self.carrier = None
-
-
 class TCPConnection:
     """A full-duplex virtual TCP connection (two streams, one link)."""
 
@@ -163,8 +156,8 @@ class TCPConnection:
 
     def __init__(self, link: "LinkProfile", client_addr: Addr, server_addr: Addr) -> None:
         self.link = link
-        self.a_to_b = _NetStream()  # client -> server
-        self.b_to_a = _NetStream()  # server -> client
+        self.a_to_b = Stream("inet-stream")  # client -> server
+        self.b_to_a = Stream("inet-stream")  # server -> client
         self.client_addr = client_addr
         self.server_addr = server_addr
         #: RST state: set by keepalive/user-timeout/retransmit-cap
@@ -172,24 +165,18 @@ class TCPConnection:
         self.reset = False
 
 
-class TCPListener:
-    """State behind a listening INET stream socket."""
-
-    __slots__ = ("addr", "backlog", "pending", "accept_waitq", "closed")
-
-    def __init__(self, addr: Addr, backlog: int) -> None:
-        self.addr = addr
-        self.backlog = backlog
-        self.pending: Deque["INetSocket"] = deque()
-        self.accept_waitq = WaitQueue("inet-accept")
-        self.closed = False
+def _inet_addr(addr: object) -> Addr:
+    ip, port = addr  # type: ignore[misc]
+    return (str(ip), int(port))
 
 
-class INetSocket(OpenFile):
+class INetSocket(Socket):
     """One AF_INET endpoint (stream or datagram)."""
 
+    accept_cost = "net_accept_cpu"
+
     def __init__(self, machine: "Machine", sock_type: int = SOCK_STREAM) -> None:
-        super().__init__(machine, O_RDWR)
+        super().__init__(machine)
         if sock_type not in (SOCK_STREAM, SOCK_DGRAM):
             raise SyscallError(EINVAL, f"socket type {sock_type}")
         self.stack: NetStack = machine.net
@@ -197,10 +184,9 @@ class INetSocket(OpenFile):
         self.sock_id = machine.next_id("inet-socket")
         self.local: Optional[Addr] = None
         self.peer: Optional[Addr] = None
-        self.listener: Optional[TCPListener] = None
         self.connection: Optional[TCPConnection] = None
-        self._rx: Optional[_NetStream] = None
-        self._tx: Optional[_NetStream] = None
+        #: Bytes sent since the window model last charged an ACK RTT.
+        self._unacked = 0
         self.options: dict = {}
         self.shut_rd = False
         self.shut_wr = False
@@ -228,12 +214,6 @@ class INetSocket(OpenFile):
 
     # -- helpers ------------------------------------------------------------
 
-    def _nonblock(self) -> bool:
-        return bool(self.flags & O_NONBLOCK)
-
-    def _kernel(self):
-        return self.machine.kernel  # type: ignore[attr-defined]
-
     def _src_ip_for(self, dst_ip: str) -> str:
         return LOOPBACK_IP if dst_ip == LOOPBACK_IP else self.stack.host_ip
 
@@ -244,17 +224,6 @@ class INetSocket(OpenFile):
                 self.stack.claim_udp(self.local, self)
         return self.local
 
-    def _block_interruptible(self, waitq: WaitQueue, timeout_ns: float) -> bool:
-        """Deadline-bounded interruptible block: True when woken by
-        activity, False when the virtual-time deadline expired first."""
-        machine = self.machine
-        woken = machine.scheduler.block_on_timeout(waitq, timeout_ns)
-        kernel = self._kernel()
-        thread = kernel.current_kthread_or_none()
-        if thread is not None:
-            kernel.check_interrupted(thread)
-        return woken
-
     def _reset_connection(self, why: str) -> None:
         """RST both directions (keepalive/user-timeout/retransmit-cap
         expiry): wake every parked thread so nothing blocks forever, and
@@ -263,10 +232,8 @@ class INetSocket(OpenFile):
         if connection is None or connection.reset:
             return
         connection.reset = True
-        connection.a_to_b.open = False
-        connection.b_to_a.open = False
-        connection.a_to_b.waitq.wake_all()
-        connection.b_to_a.waitq.wake_all()
+        connection.a_to_b.close()
+        connection.b_to_a.close()
         machine = self.machine
         machine.emit("net", "reset", sock=self.sock_id, why=why)
         machine.count("kernel.net.resets")
@@ -308,10 +275,11 @@ class INetSocket(OpenFile):
 
     # -- address plumbing ---------------------------------------------------
 
-    def bind(self, addr: Addr) -> None:
+    def bind(self, addr: Addr, backlog: int = 8) -> None:
+        """``backlog`` is for AF_UNIX, whose bind also listens."""
+        ip, port = _inet_addr(addr)
         if self.local is not None:
             raise SyscallError(EINVAL, "already bound")
-        ip, port = addr
         if not self.stack.is_local(ip):
             raise SyscallError(EINVAL, f"cannot bind non-local address {ip}")
         if port == 0:
@@ -336,11 +304,11 @@ class INetSocket(OpenFile):
             self.listener.backlog = backlog
             return
         self.machine.charge("net_listen")
-        listener = TCPListener(self.local, backlog)
+        listener = Listener(backlog, "inet-accept")
         self.stack.promote_tcp(self.local, self, listener)
         self.listener = listener
         # select()/kqueue readiness of a listener == pending connections.
-        self.read_waitq = listener.accept_waitq
+        self.read_waitq = listener.waitq
 
     def getsockname(self) -> Addr:
         return self.local if self.local is not None else (WILDCARD_IP, 0)
@@ -374,7 +342,7 @@ class INetSocket(OpenFile):
 
     def connect(self, addr: Addr) -> None:
         machine = self.machine
-        dst_ip, dst_port = addr
+        dst_ip, dst_port = _inet_addr(addr)
         if self.type == SOCK_DGRAM:
             # Datagram connect only fixes the default destination.
             self.stack.route(dst_ip)
@@ -452,7 +420,7 @@ class INetSocket(OpenFile):
         # that machine's clock and RAM envelope.
         remote = self.stack.stack_for(dst_ip)
         listener = remote.lookup_tcp(dst_ip, dst_port)
-        if not isinstance(listener, TCPListener) or listener.closed:
+        if not isinstance(listener, Listener) or listener.closed:
             # Nothing there, or a bound-but-not-listening placeholder.
             raise SyscallError(ECONNREFUSED, f"{dst_ip}:{dst_port}")
         if len(listener.pending) >= listener.backlog:
@@ -475,63 +443,25 @@ class INetSocket(OpenFile):
         self.stack.log_segment("TCP", dst, src, 0, flag="SYN-ACK")
         self.stack.log_segment("TCP", src, dst, 0, flag="ACK")
         connection = TCPConnection(link, src, dst)
-        self._attach(connection, client_side=True)
+        self.connection = connection
+        self._attach(connection.b_to_a, connection.a_to_b)
         self.peer = dst
         server_end = INetSocket(remote.machine, SOCK_STREAM)
         server_end.local = dst
         server_end.peer = src
-        server_end._attach(connection, client_side=False)
-        listener.pending.append(server_end)
-        listener.accept_waitq.wake_all()
-
-    def _attach(self, connection: TCPConnection, client_side: bool) -> None:
-        self.connection = connection
-        if client_side:
-            self._rx, self._tx = connection.b_to_a, connection.a_to_b
-        else:
-            self._rx, self._tx = connection.a_to_b, connection.b_to_a
-        # select()/kqueue park on the OpenFile wait queues: alias them to
-        # the stream queues so peer activity wakes waiters here.
-        self.read_waitq = self._rx.waitq
-        self.write_waitq = self._tx.waitq
-
-    def accept(self) -> "INetSocket":
-        listener = self.listener
-        if listener is None:
-            raise SyscallError(EOPNOTSUPP, "not listening")
-        machine = self.machine
-        while not listener.pending:
-            if listener.closed:
-                raise SyscallError(EINVAL, "listener closed")
-            if self._nonblock():
-                raise SyscallError(EAGAIN, "no pending connections")
-            if self.recv_timeout_ns:
-                if not self._block_interruptible(
-                    listener.accept_waitq, self.recv_timeout_ns
-                ):
-                    raise SyscallError(EAGAIN, "accept deadline expired")
-            else:
-                self._kernel().wait_interruptible(listener.accept_waitq)
-        machine.charge("net_accept_cpu")
-        return listener.pending.popleft()
+        server_end.connection = connection
+        server_end._attach(connection.a_to_b, connection.b_to_a)
+        listener.enqueue(server_end)
 
     # -- readiness ----------------------------------------------------------
 
     def poll_readable(self) -> bool:
-        if self.listener is not None:
-            return bool(self.listener.pending)
         if self.type == SOCK_DGRAM:
             return bool(self._dgrams)
-        if self._rx is None:
-            return False
-        return bool(self._rx.buffer) or not self._rx.open or self.shut_rd
+        return super().poll_readable() or (self.shut_rd and self._rx is not None)
 
     def poll_writable(self) -> bool:
-        if self.type == SOCK_DGRAM:
-            return True
-        if self._tx is None:
-            return False
-        return len(self._tx.buffer) < SOCK_CAPACITY or not self._tx.open
+        return self.type == SOCK_DGRAM or super().poll_writable()
 
     # -- the shared transmit path (TCP and UDP both charge through here) ----
 
@@ -680,13 +610,12 @@ class INetSocket(OpenFile):
             raise SyscallError(EPIPE, "peer closed")
         tx = self._tx
         while len(tx.buffer) >= SOCK_CAPACITY:
-            if self._nonblock():
+            if self.flags & O_NONBLOCK:
                 raise SyscallError(EAGAIN, "send buffer full")
-            if self.send_timeout_ns:
-                if not self._block_interruptible(tx.waitq, self.send_timeout_ns):
-                    raise SyscallError(EAGAIN, "send deadline expired")
-            else:
-                self._kernel().wait_interruptible(tx.waitq)
+            if not self.machine.kernel.wait_interruptible(
+                tx.waitq, self.send_timeout_ns or None
+            ):
+                raise SyscallError(EAGAIN, "send deadline expired")
             if connection is not None and connection.reset:
                 raise SyscallError(ECONNRESET, "connection reset by peer")
             if not tx.open:
@@ -716,18 +645,12 @@ class INetSocket(OpenFile):
                 raise SyscallError(ETIMEDOUT, "retransmission cap reached")
         # Windowed send: one ACK round trip per congestion window's worth
         # of unacknowledged bytes.
-        tx.unacked += len(data)
-        stalls = tx.unacked // TCP_WINDOW
+        self._unacked += len(data)
+        stalls = self._unacked // TCP_WINDOW
         if stalls:
             self.machine.charge_ns(stalls * 2 * link.latency_ns)
-            tx.unacked -= stalls * TCP_WINDOW
-        obs = self.machine.obs
-        if obs is not None and obs.causal is not None:
-            carrier = obs.causal.carrier()
-            if carrier is not None:
-                tx.carrier = carrier
-        tx.buffer.extend(data)
-        tx.waitq.wake_all()  # readers blocked on empty
+            self._unacked -= stalls * TCP_WINDOW
+        tx.put(self.machine, data)
         return len(data)
 
     def read(self, nbytes: int) -> bytes:
@@ -738,43 +661,39 @@ class INetSocket(OpenFile):
             raise SyscallError(ENOTCONN, "socket not connected")
         rx = self._rx
         connection = self.connection
+        kernel = self.machine.kernel
         misses = 0
         while not rx.buffer:
             if connection is not None and connection.reset:
                 raise SyscallError(ECONNRESET, "connection reset by peer")
             if not rx.open or self.shut_rd:
                 return b""
-            if self._nonblock():
+            if self.flags & O_NONBLOCK:
                 raise SyscallError(EAGAIN, "socket empty")
             if self.keepalive and connection is not None:
                 # Probe the silent peer every keepidle interval; keepcnt
                 # consecutive lost probes reset the connection, so a
                 # reader behind a partition unblocks with ETIMEDOUT.
-                if self._block_interruptible(rx.waitq, self.keepidle_ns):
+                if kernel.wait_interruptible(rx.waitq, self.keepidle_ns):
                     misses = 0
                 else:
                     misses = self._keepalive_probe(connection, misses)
-            elif self.recv_timeout_ns:
-                if not self._block_interruptible(rx.waitq, self.recv_timeout_ns):
-                    raise SyscallError(EAGAIN, "receive deadline expired")
-            else:
-                self._kernel().wait_interruptible(rx.waitq)
+            elif not kernel.wait_interruptible(
+                rx.waitq, self.recv_timeout_ns or None
+            ):
+                raise SyscallError(EAGAIN, "receive deadline expired")
         connection = self.connection
         assert connection is not None
-        data = bytes(rx.buffer[:nbytes])
-        del rx.buffer[: len(data)]
-        self._charge_rx(connection.link, len(data), "TCP")
-        carrier, rx.carrier = rx.carrier, None
-        if carrier is not None:
-            obs = self.machine.obs
-            if obs is not None and obs.causal is not None:
-                obs.causal.adopt(carrier)
-        rx.waitq.wake_all()  # writers blocked on backpressure
-        return data
+        # Charge before the stream hands the causal carrier over, so the
+        # receive span stays in the reader's own trace.
+        self._charge_rx(connection.link, min(nbytes, len(rx.buffer)), "TCP")
+        return rx.take(self.machine, nbytes)
 
     # -- datagram I/O ---------------------------------------------------------
 
     def sendto(self, data: bytes, addr: Optional[Addr] = None) -> int:
+        if addr is not None:
+            addr = _inet_addr(addr)
         if self.type != SOCK_DGRAM:
             if addr is not None and addr != self.peer:
                 raise SyscallError(EISCONN, "sendto with address on stream")
@@ -804,6 +723,9 @@ class INetSocket(OpenFile):
         obs = self.machine.obs
         if obs is not None and obs.causal is not None:
             carrier = obs.causal.carrier()
+        hb = self.machine.hb
+        if hb is not None:
+            hb.release(target)
         target._dgrams.append((bytes(data), src, carrier))
         target._dgram_waitq.wake_all()
         return len(data)
@@ -814,18 +736,18 @@ class INetSocket(OpenFile):
         while not self._dgrams:
             if self.shut_rd:
                 return b"", (WILDCARD_IP, 0)
-            if self._nonblock():
+            if self.flags & O_NONBLOCK:
                 raise SyscallError(EAGAIN, "no datagram queued")
-            if self.recv_timeout_ns:
-                if not self._block_interruptible(
-                    self._dgram_waitq, self.recv_timeout_ns
-                ):
-                    raise SyscallError(EAGAIN, "receive deadline expired")
-            else:
-                self._kernel().wait_interruptible(self._dgram_waitq)
+            if not self.machine.kernel.wait_interruptible(
+                self._dgram_waitq, self.recv_timeout_ns or None
+            ):
+                raise SyscallError(EAGAIN, "receive deadline expired")
         data, src, carrier = self._dgrams.popleft()
         link = self.stack.route(src[0]) if src[0] != WILDCARD_IP else self.stack.links["lo"]
         self._charge_rx(link, len(data), "UDP")
+        hb = self.machine.hb
+        if hb is not None:
+            hb.acquire(self)  # the sender released into this socket
         if carrier is not None:
             obs = self.machine.obs
             if obs is not None and obs.causal is not None:
@@ -863,8 +785,7 @@ class INetSocket(OpenFile):
             raise SyscallError(ENOTCONN, "shutdown on unconnected socket")
         if how in (SHUT_WR, SHUT_RDWR) and self._tx is not None:
             self.shut_wr = True
-            self._tx.open = False  # peer read() sees EOF
-            self._tx.waitq.wake_all()
+            self._tx.close()  # peer read() sees EOF
         if how in (SHUT_RD, SHUT_RDWR):
             self.shut_rd = True
             if self._rx is not None:
@@ -873,22 +794,16 @@ class INetSocket(OpenFile):
                 self._dgram_waitq.wake_all()
 
     def on_last_close(self) -> None:
-        if self._tx is not None:
-            self._tx.open = False
-            self._tx.waitq.wake_all()
-        if self._rx is not None:
-            self._rx.open = False
-            self._rx.waitq.wake_all()
+        super().on_last_close()
+        stack, local = self.stack, self.local
         if self.listener is not None:
-            self.listener.closed = True
-            self.stack.release_tcp(self.listener.addr, self.listener)
-            self.listener.accept_waitq.wake_all()
-        elif self.type == SOCK_STREAM and self.local is not None:
+            stack.release_tcp(local, self.listener)  # type: ignore[arg-type]
+        elif local is not None and self.type == SOCK_STREAM:
             # Bound-but-never-listened placeholder claim (owner-checked,
             # so accepted server-side connections never free the port).
-            self.stack.release_tcp(self.local, self)
-        if self.type == SOCK_DGRAM and self.local is not None:
-            self.stack.release_udp(self.local)
+            stack.release_tcp(local, self)
+        elif local is not None:
+            stack.release_udp(local)
         if self._ram_reserved:
             res = self.machine.resources
             if res is not None:

@@ -199,9 +199,6 @@ class Profiler:
             stat.total_ps += node.total_ps
         return sorted(stats.values(), key=lambda s: (-s.self_ps, s.subsystem))
 
-    def flame_root(self) -> FlameNode:
-        return self._flame_root
-
     def flame_rows(self) -> List[Tuple[str, int, int, int]]:
         """Folded flame table rows ``(path, calls, self_ps, total_ps)``,
         depth-first, children sorted by label (deterministic)."""

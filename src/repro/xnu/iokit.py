@@ -298,6 +298,13 @@ class IOKitFramework:
         client.close()
         return KERN_SUCCESS
 
+    def task_terminate(self, task: object) -> None:
+        """The task died: close every connection it still holds open."""
+        for connect_id, client in list(self._connections.items()):
+            if client.task is task:
+                del self._connections[connect_id]
+                client.close()
+
 
 EXPORTS = {
     "IORegistryEntry": IORegistryEntry,

@@ -123,9 +123,6 @@ class IPCPort:
         self.dead = False
         self.receiver_space: Optional["IPCSpace"] = None
         self.member_of: Optional["IPCPortSet"] = None
-        #: Kernel-owned ports dispatch inline instead of queueing
-        #: (how I/O Kit's user clients are reached).
-        self.kernel_handler = None
         # Distinct wait events for senders (queue full) and receivers.
         self.send_event = object()
         self.recv_event = object()
@@ -360,13 +357,6 @@ class MachIPC:
             space.task_port = port  # type: ignore[attr-defined]
         return self.make_send_right(task, port)
 
-    def register_kernel_port(self, handler) -> IPCPort:
-        """Create a kernel-owned port whose messages dispatch inline
-        (the path I/O Kit user clients use)."""
-        port = self._new_port()
-        port.kernel_handler = handler
-        return port
-
     # -- bootstrap special port ----------------------------------------------------------
 
     def host_set_bootstrap_port(self, task: object, name: int) -> int:
@@ -446,11 +436,6 @@ class MachIPC:
 
         if entry.right == RIGHT_SEND_ONCE:
             space.remove(dest_name)
-
-        if port.kernel_handler is not None:
-            self.messages_sent += 1
-            port.kernel_handler(self, task, msg)
-            return MACH_MSG_SUCCESS
 
         while len(port.messages) >= port.qlimit:
             if port.dead:

@@ -11,6 +11,7 @@ finds no object whose type lives in a ``repro`` module.
 
 import gc
 import json
+import weakref
 from collections import Counter
 
 import pytest
@@ -165,6 +166,23 @@ def test_shut_down_systems_leave_no_cycles(build, run):
         system.shutdown()
 
     assert left_for_the_collector(scenario) == Counter()
+
+
+def test_a_reboot_lets_go_of_the_old_kernels_pressure_daemons():
+    """The pressure daemons wake through callbacks on the machine's
+    resource envelope, which outlives a reboot: the old kernel's must go
+    with it, or they keep it alive and wake beside the new ones."""
+    system = build_cider(durable=True)
+    try:
+        envelope = system.machine.install_resources()
+        system.kernel.start_pressure_daemons()
+        old_kernel = weakref.ref(system.kernel)
+        system.reboot()
+        system.kernel.start_pressure_daemons()
+        assert old_kernel() is None
+        assert len(envelope._pressure_callbacks) == 2
+    finally:
+        system.shutdown()
 
 
 def test_a_two_machine_world_leaves_no_cycles():

@@ -260,6 +260,75 @@ class TestUnixNonblockRegression:
         assert result == -1 and err == E.EAGAIN
 
 
+# -- transfers are happens-before edges, whatever the family -------------------
+
+
+def _send_then_receive(system, family):
+    """A sender thread writes ``x`` and then sends one byte; a receiver
+    thread receives it and then writes ``x``.  The sender runs first, so
+    the receiver never blocks: only the transfer itself can order the
+    two writes.  With ``family`` None nothing is sent.  Returns the race
+    reports."""
+
+    def body(ctx):
+        libc = ctx.libc
+        done_r, done_w = libc.pipe()
+        if family == "unix":
+            tx, rx = libc.socketpair()
+        elif family == "tcp":
+            srv = libc.socket(AF_INET, SOCK_STREAM)
+            libc.bind(srv, ("127.0.0.1", 7050))
+            libc.listen(srv, 1)
+            tx = libc.socket(AF_INET, SOCK_STREAM)
+            libc.connect(tx, ("127.0.0.1", 7050))
+            rx = libc.accept(srv)
+            libc.close(srv)
+        elif family == "udp":
+            rx = libc.socket(AF_INET, SOCK_DGRAM)
+            libc.bind(rx, ("127.0.0.1", 7051))
+            tx = libc.socket(AF_INET, SOCK_DGRAM)
+
+        def sender(tctx):
+            tctx.machine.hb.access("x", True, "sender")
+            if family == "udp":
+                tctx.libc.sendto(tx, b"m", ("127.0.0.1", 7051))
+            elif family is not None:
+                tctx.libc.write(tx, b"m")
+            return 0
+
+        def receiver(tctx):
+            if family == "udp":
+                assert tctx.libc.recvfrom(rx, 1)[0] == b"m"
+            elif family is not None:
+                assert tctx.libc.read(rx, 1) == b"m"
+            tctx.machine.hb.access("x", True, "receiver")
+            tctx.libc.write(done_w, b"k")
+            return 0
+
+        libc.pthread_create(sender, "sender")
+        libc.pthread_create(receiver, "receiver")
+        libc.read(done_r, 1)
+        for fd in (done_r, done_w) + ((tx, rx) if family else ()):
+            libc.close(fd)
+
+    monitor = system.machine.install_hb_monitor()
+    try:
+        run_elf(system, body)
+    finally:
+        system.machine.clear_hb_monitor()
+    return monitor.race_reports()
+
+
+class TestTransfersOrderAccesses:
+    def test_without_a_transfer_the_writes_race(self, vanilla):
+        reports = _send_then_receive(vanilla, None)
+        assert len(reports) == 1 and reports[0].startswith("race on x: ")
+
+    @pytest.mark.parametrize("family", ["unix", "tcp", "udp"])
+    def test_a_transfer_orders_the_writes(self, vanilla, family):
+        assert _send_then_receive(vanilla, family) == []
+
+
 # -- pass-through: the XNU path costs exactly the dispatch overhead ------------
 
 

@@ -10,6 +10,7 @@ from repro.xnu.iokit import (
     IORegistryEntry,
     IOService,
 )
+from repro.workloads.passmark import install_passmark
 from repro.xnu.ipc import KERN_SUCCESS
 
 from helpers import run_macho
@@ -174,6 +175,34 @@ class TestUserSpaceAccess:
             return kr
 
         assert run_macho(system, body) != KERN_SUCCESS
+
+
+class TestConnectionsCloseAtExit:
+    def test_a_connection_works_until_its_task_exits(self, system):
+        iokit = system.kernel.iokit
+
+        def body(ctx):
+            libc = ctx.libc
+            service = libc.io_service_get_matching_service(
+                {"IOClass": "AppleM2CLCD"}
+            )
+            _, connect = libc.io_service_open(service)
+            kr, _ = libc.io_connect_call_method(connect, 0)
+            return kr, connect in iokit._connections
+
+        assert run_macho(system, body) == (KERN_SUCCESS, True)
+        assert iokit._connections == {}
+
+    def test_native_gl_runs_leave_no_connection(self):
+        system = build_ipad_mini()
+        try:
+            path = install_passmark(system.kernel, "ios")
+            for _ in range(3):
+                argv = [path, {"out": {}, "tests": ["gfx3d_simple"]}]
+                assert system.run_program(path, argv) == 0
+                assert system.kernel.iokit._connections == {}
+        finally:
+            system.shutdown()
 
 
 class TestAppleHardwareServices:
