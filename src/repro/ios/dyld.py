@@ -32,19 +32,28 @@ reboot or a boot-snapshot clone re-binds what an earlier boot or a
 sibling recorded to its own VFS instead of walking cold, since every
 boot installs the same image objects.
 
-A replay crosses only ``mm.map`` and ``mm.reserve`` itself (through
-``map_vma``, at the cold walk's clock readings).  It only counts the
-``dyld.load`` and ``vfs.lookup`` points a cold walk checks, so it runs
-under a fault plan only when no rule can match either of them.
+Where no map can fail (no fault plan, no resource envelope, and an
+``RLIMIT_AS`` that covers the whole closure), a replay is a few bulk
+steps whose cost does not grow with the closure: one charge of the
+recording's summed picoseconds, one :meth:`AddressSpace.map_batch
+<repro.kernel.mm.AddressSpace.map_batch>` of its VMAs, and one extend of
+the loaded libraries and of libSystem's atfork and atexit lists.
+Otherwise it goes library by library: it crosses only ``mm.map`` and
+``mm.reserve`` itself (through ``map_vma``, at the cold walk's clock
+readings), so a map fails at the cold walk's library.  It only counts
+the ``dyld.load`` and ``vfs.lookup`` points a cold walk checks, so it
+runs under a fault plan only when no rule can match either of them.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from operator import attrgetter, is_
+from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
 from ..binfmt import BinaryImage
 from ..kernel.errno import ENOENT, SyscallError
+from ..kernel.mm import MapBatch
 from ..kernel.vfs import Directory, RegularFile
 
 if TYPE_CHECKING:
@@ -152,44 +161,77 @@ class WalkRecording:
         #: simulated walk is unchanged, so ``walked_filesystem`` still
         #: counts every library found on the filesystem.
         self.stats = DyldStats()
-        #: ``(path, image)`` for each library the walk found on the
-        #: filesystem, in walk order.
-        self.paths: List[Tuple[str, BinaryImage]] = []
+        #: The path of each library the walk found on the filesystem, in
+        #: walk order, and the image it found there.
+        self.paths: List[str] = []
+        self.images: List[BinaryImage] = []
         #: The shared-cache generation the walk ran under.
         self.cache_generation = cache_generation
+        #: What the whole walk charged, mapped and registered, summed by
+        #: :meth:`seal` for a replay in one step: every picosecond, the
+        #: VMAs with their totals, ``loaded_libraries``' entries and
+        #: libSystem's atfork and atexit names, cache batches included.
+        self.total_ps = 0
+        self.maps = MapBatch([])
+        self.libraries: Dict[str, BinaryImage] = {}
+        self.atfork: List[str] = []
+        self.atexit: List[str] = []
+
+    def seal(self) -> None:
+        """Sum up the entries, once the walk has ended."""
+        entries = self.entries
+        self.total_ps = sum(entry[2] for entry in entries) + self.tail_ps
+        self.maps = MapBatch([entry[3] for entry in entries if entry[3] is not None])
+        for lib, _from_cache, _ps, _vma, on_fork, on_exit in entries:
+            self.libraries[lib.name] = lib
+            self.libraries[lib.install_name] = lib
+            if on_fork is not None:
+                self.atfork.append(on_fork)
+                self.atexit.append(on_exit)
+        _register_cache_batches(self.atfork, self.atexit, self.stats.from_cache)
+
+
+_generation = attrgetter("generation")
+_binary_image = attrgetter("binary_image")
 
 
 class WalkPlan:
     """A recording bound to one VFS, replayed host-side while valid.
 
     The binding is what the recording's lookups read on that VFS: every
-    directory with its generation, each walked file with the image it
-    held, and the cache file with the cache it held.  While none of it
-    changed, :meth:`Dyld._replay` repeats the recording's charges and
-    maps without walking the filesystem again.
+    directory with its generation, each walked file node, which held the
+    recording's image, and the cache file with the cache it held.  While
+    none of it changed, :meth:`Dyld._replay` repeats the recording's
+    charges and maps without walking the filesystem again.
     """
 
-    def __init__(self, recording: WalkRecording) -> None:
+    def __init__(
+        self,
+        recording: WalkRecording,
+        dirs: Dict[Directory, int],
+        nodes: List[RegularFile],
+        cache_file: Optional["Inode"],
+    ) -> None:
         self.recording = recording
-        self.dirs: Dict[Directory, int] = {}
-        self.files: List[Tuple[RegularFile, BinaryImage]] = []
-        self.cache_file: Optional[Inode] = None
-        self.cache: object = None
+        #: The directories, in lookup order, and their generations then.
+        self.dirs = list(dirs)
+        self.generations = list(dirs.values())
+        #: The node of each of the recording's ``paths``.
+        self.nodes = nodes
+        self.cache_file = cache_file
+        self.cache = getattr(cache_file, "shared_cache", None)
 
     def valid(self, cache_generation: int) -> bool:
         """True while nothing the walk read has changed."""
-        if cache_generation != self.recording.cache_generation:
-            return False
-        for directory, generation in self.dirs.items():
-            if directory.generation != generation:
-                return False
-        for node, image in self.files:
-            if node.binary_image is not image:
-                return False
         cache_file = self.cache_file
         return (
-            cache_file is None
-            or getattr(cache_file, "shared_cache", None) is self.cache
+            cache_generation == self.recording.cache_generation
+            and list(map(_generation, self.dirs)) == self.generations
+            and all(map(is_, map(_binary_image, self.nodes), self.recording.images))
+            and (
+                cache_file is None
+                or getattr(cache_file, "shared_cache", None) is self.cache
+            )
         )
 
 
@@ -430,18 +472,17 @@ class Dyld:
         missing entry or a component that is not a directory, or one
         that resolves to anything but a regular file holding the
         recorded image.  Charges nothing."""
-        plan = WalkPlan(recording)
-        dirs = plan.dirs
+        dirs: Dict[Directory, int] = {}
+        cache_file = None
         if self.use_shared_cache:
-            plan.cache_file = _lookup(vfs, SHARED_CACHE_PATH, dirs)
-            plan.cache = getattr(plan.cache_file, "shared_cache", None)
-        files = plan.files
-        for path, lib in recording.paths:
+            cache_file = _lookup(vfs, SHARED_CACHE_PATH, dirs)
+        nodes = []
+        for path, lib in zip(recording.paths, recording.images):
             node = _lookup(vfs, path, dirs)
             if not isinstance(node, RegularFile) or node.binary_image is not lib:
                 return None
-            files.append((node, lib))
-        return plan
+            nodes.append(node)
+        return WalkPlan(recording, dirs, nodes, cache_file)
 
     def _walk(
         self, ctx: "UserContext", image: BinaryImage, recording: WalkRecording
@@ -498,7 +539,8 @@ class Dyld:
             else:
                 lib = self._walk_filesystem(ctx, dep).binary_image
                 from_cache = False
-                recording.paths.append((dep, lib))
+                recording.paths.append(dep)
+                recording.images.append(lib)
                 machine.charge("dyld_lib_map_per_mb", lib.vm_size_mb)
                 machine.charge("dyld_link_per_lib")
                 ps = clock.charged_ps - mark
@@ -520,22 +562,34 @@ class Dyld:
 
         recording.tail_ps = clock.charged_ps - mark
         _register_cache_batches(atfork, atexit, stats.from_cache)
+        recording.seal()
         return stats
 
     def _replay(self, ctx: "UserContext", recording: WalkRecording) -> DyldStats:
-        """Repeat a recorded walk: for each library, charge what the cold
-        walk charged before its map, then map the cold walk's VMA, in the
-        cold order — so the clock reads the same at every map, and a map
-        that fails leaves the same state behind.  Under a fault plan, the
-        points the cold walk checked before each map are counted, in its
-        order (no rule can match them, or the walk would be cold)."""
+        """Repeat a recorded walk.  Where the address space can map all
+        of its VMAs at once (:meth:`AddressSpace.map_batch
+        <repro.kernel.mm.AddressSpace.map_batch>`: no map can fail), charge
+        the recording's summed picoseconds and copy its libraries and
+        handler names in, in one step each.  Otherwise, for each library,
+        charge what the cold walk charged before its map, then map the
+        cold walk's VMA, in the cold order, so the clock reads the same
+        at every map, and a map that fails leaves the same state behind.
+        Under a fault plan, the points the cold walk checked before each
+        map are counted, in its order (no rule can match them, or the
+        walk would be cold)."""
         process = ctx.process
         charge_ps = ctx.machine.clock.charge_ps
-        map_vma = process.address_space.map_vma
         loaded = process.loaded_libraries
         state = ctx.lib_state(LIBSYSTEM_STATE)
         atfork = state.setdefault("atfork", [])
         atexit = state.setdefault("atexit", [])
+        if process.address_space.map_batch(recording.maps):
+            charge_ps(recording.total_ps)
+            loaded.update(recording.libraries)
+            atfork.extend(recording.atfork)
+            atexit.extend(recording.atexit)
+            return recording.stats
+        map_vma = process.address_space.map_vma
         faults = ctx.machine.faults
         if faults is not None and self.use_shared_cache:
             faults.count("vfs.lookup")  # the cache file's lookup

@@ -92,6 +92,19 @@ class VMA:
         return f"<VMA {self.name!r} {self.size_bytes >> 10}KB{tag}>"
 
 
+class MapBatch:
+    """VMAs that map together, in order, with their totals summed once:
+    a value, like the VMAs it holds (a dyld walk recording's maps)."""
+
+    __slots__ = ("vmas", "size_bytes", "pages", "fork_pages")
+
+    def __init__(self, vmas: List[VMA]) -> None:
+        self.vmas = tuple(vmas)
+        self.size_bytes = sum(vma.size_bytes for vma in vmas)
+        self.pages = sum(vma.pages for vma in vmas)
+        self.fork_pages = sum(vma.pages for vma in vmas if not vma.shared_cache)
+
+
 class _CowRecord:
     """One space's side of a COW-mapped region: the shared source it
     reads, the page indices it privately re-copied after a write fault
@@ -216,6 +229,26 @@ class AddressSpace:
         if not vma.shared_cache:
             self.copied_on_fork_pages += vma.pages
         return vma
+
+    def map_batch(self, batch: MapBatch) -> bool:
+        """Map every VMA of ``batch`` in one step where none of their
+        maps can fail: no fault plan, no resource envelope, and
+        ``RLIMIT_AS`` unset or covering the space's total plus the
+        batch's bytes.  Otherwise map nothing and return False, for the
+        caller to map them one by one with :meth:`map_vma`."""
+        machine = self._machine
+        if machine is not None and (
+            machine.faults is not None or machine.resources is not None
+        ):
+            return False
+        total_bytes = self.total_bytes + batch.size_bytes
+        if self.as_limit_bytes is not None and total_bytes > self.as_limit_bytes:
+            return False
+        self._vmas.extend(batch.vmas)
+        self.total_bytes = total_bytes
+        self.total_pages += batch.pages
+        self.copied_on_fork_pages += batch.fork_pages
+        return True
 
     @staticmethod
     def _reserve(res: "ResourceEnvelope", vma: VMA) -> None:

@@ -210,10 +210,12 @@ class UnixSocket(Socket):
     # -- addresses and connections -------------------------------------------
 
     def bind(self, path: object, backlog: int = 8) -> None:
-        """Name the socket and listen on it."""
-        listener = self._listen(backlog, "unix-accept")
-        self.bound_path = str(path)
-        self.machine.kernel.vfs.bind_socket(self.bound_path, listener)
+        """Name the socket, then listen on it: a path that exists fails
+        with EADDRINUSE and leaves the socket unbound."""
+        path = str(path)
+        node = self.machine.kernel.vfs.bind_socket(path)
+        node.listener = self._listen(backlog, "unix-accept")
+        self.bound_path = path
 
     def listen(self, backlog: int = 128) -> None:
         """Resize the backlog of the listener ``bind`` made."""

@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 from ..binfmt import BinaryImage
 from ..sim.clock import ns_to_ps
 from .errno import (
+    EADDRINUSE,
     EEXIST,
     EISDIR,
     ENOENT,
@@ -423,9 +424,12 @@ class VFS:
         parent.link(name, node)
         return node
 
-    def bind_socket(self, path: str, listener: object) -> SocketNode:
+    def bind_socket(self, path: str) -> SocketNode:
+        """Name a socket at ``path``: EADDRINUSE where the path exists."""
         parent, name = self.resolve_parent(path, None)
-        node = SocketNode(listener)
+        if name in parent.entries:
+            raise SyscallError(EADDRINUSE, path)
+        node = SocketNode(None)
         parent.link(name, node)
         return node
 

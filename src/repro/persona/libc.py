@@ -132,14 +132,15 @@ class LibcCore:
 
     def exit(self, code: int = 0) -> None:
         """Run the atexit handlers (on iOS, the per-dylib exit callbacks
-        dyld registered), then terminate the process."""
+        dyld registered), then terminate the process.  Every entry is
+        charged; dyld's are names, so only callables run, last
+        registered first."""
         state = self._state()
         handlers = state["atexit"]
         if handlers:
             self._ctx.machine.charge("atexit_handler", len(handlers))
-            for handler in reversed(list(handlers)):
-                if callable(handler):
-                    handler(self._ctx)
+            for handler in list(filter(callable, reversed(handlers))):
+                handler(self._ctx)
             handlers.clear()
         self._exit_trap(code)
 

@@ -3,7 +3,7 @@
 import os
 import subprocess
 import sys
-from functools import partial
+from functools import lru_cache, partial
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 import repro
 from repro.binfmt import Arch, BinaryFormat, macho_dylib, macho_executable
 from repro.cider.system import build_cider, build_ipad_mini
+from repro.hw.machine import Machine
 from repro.hw.profiles import nexus7
 from repro.ios.binaries import LIBSYSTEM_DEP
-from repro.ios.dyld import SHARED_CACHE_PATH, WalkBook, evict_shared_cache
+from repro.ios.dyld import SHARED_CACHE_PATH, Dyld, WalkBook, evict_shared_cache
 from repro.ios.frameworks import (
     TARGET_LIBRARY_COUNT,
     TARGET_TOTAL_MB,
@@ -22,7 +23,9 @@ from repro.ios.frameworks import (
 )
 from repro.kernel import errno as E
 from repro.kernel.errno import SyscallError
+from repro.kernel.mm import AddressSpace
 from repro.sim import ResourceEnvelope
+from repro.sim.clock import VirtualClock
 from repro.sim.faults import FaultOutcome, FaultPlan
 from repro.sim.snapshot import snapshot_systems
 
@@ -108,6 +111,30 @@ class TestDyld:
         atfork, atexit = run_macho(cider, body)
         assert atfork == TARGET_LIBRARY_COUNT
         assert atexit == TARGET_LIBRARY_COUNT
+
+    def test_exit_runs_only_callables_and_charges_every_entry(
+        self, cider, monkeypatch
+    ):
+        """Two callables registered after dyld's handler names run once
+        each, last registered first; every entry is charged."""
+        ran, charged = [], []
+        charge = Machine.charge
+
+        def traced_charge(machine, cost_name, times=1):
+            if cost_name == "atexit_handler":
+                charged.append(times)
+            return charge(machine, cost_name, times)
+
+        monkeypatch.setattr(Machine, "charge", traced_charge)
+
+        def body(ctx):
+            ctx.libc.atexit(lambda exit_ctx: ran.append("first"))
+            ctx.libc.atexit(lambda exit_ctx: ran.append("second"))
+            return len(ctx.lib_state("libSystem")["atexit"])
+
+        assert run_macho(cider, body) == TARGET_LIBRARY_COUNT + 2
+        assert ran == ["second", "first"]
+        assert charged == [TARGET_LIBRARY_COUNT + 2]
 
     def test_missing_dylib_fails(self, cider):
         image = macho_executable(
@@ -233,10 +260,10 @@ def _probe_loads(system):
             res = ctx.machine.resources
             record["ram_used"] = None if res is None else res.ram_used
             process = ctx.process
+            space = process.address_space
             state = process.lib_state.get("libSystem", {})
             record["vmas"] = [
-                (vma.name, vma.size_bytes, vma.shared_cache)
-                for vma in process.address_space
+                (vma.name, vma.size_bytes, vma.shared_cache) for vma in space
             ]
             record["libs"] = [
                 (key, lib.name, lib.vm_size_bytes)
@@ -244,6 +271,9 @@ def _probe_loads(system):
             ]
             record["atfork"] = list(state.get("atfork", ()))
             record["atexit"] = list(state.get("atexit", ()))
+            record["total_bytes"] = space.total_bytes
+            record["total_pages"] = space.total_pages
+            record["copied_on_fork_pages"] = space.copied_on_fork_pages
 
     vfs.resolve = traced_resolve
     dyld._load_libraries = traced_load
@@ -315,7 +345,25 @@ def _envelope_installed(ram_mb, system):
     system.machine.install_resources(ResourceEnvelope(ram_mb=ram_mb))
 
 
-#: (build_cider kwargs, change, RLIMIT_AS of the exec, the exec replays)
+@lru_cache(maxsize=None)
+def _hello_total_bytes():
+    """What the address space of an unlimited ``/bin/hello-ios`` exec
+    totals when dyld returns: the image and its whole closure."""
+    system = build_cider()
+    try:
+        loads = _probe_loads(system)
+        assert _exec_hello(system) == 0
+        return loads[0]["total_bytes"]
+    finally:
+        system.shutdown()
+
+
+def _one_byte_short():
+    return _hello_total_bytes() - 1
+
+
+#: (build_cider kwargs, change, RLIMIT_AS of the exec or a function
+#: computing it, the exec replays)
 TWIN_CASES = {
     "none": ({}, _no_change, None, True),
     "none-shared-cache": ({"shared_cache": True}, _no_change, None, True),
@@ -327,12 +375,14 @@ TWIN_CASES = {
     "cache-evicted": ({"shared_cache": True}, _shared_cache_evicted, None, False),
     "cache-rebuilt": ({"shared_cache": True}, _shared_cache_rebuilt, None, False),
     "rlimit-as-enomem": ({}, _no_change, 40 * MB, True),
+    "rlimit-as-at-total": ({}, _no_change, _hello_total_bytes, True),
+    "rlimit-as-one-byte-short": ({}, _no_change, _one_byte_short, True),
     "ram-envelope": ({}, partial(_envelope_installed, 512), None, True),
     "ram-envelope-enomem": ({}, partial(_envelope_installed, 40), None, True),
 }
 
 #: Cases whose exec runs out of memory partway through the libraries.
-ENOMEM_CASES = ("rlimit-as-enomem", "ram-envelope-enomem")
+ENOMEM_CASES = ("rlimit-as-enomem", "ram-envelope-enomem", "rlimit-as-one-byte-short")
 
 
 @pytest.mark.parametrize("case", sorted(TWIN_CASES))
@@ -344,6 +394,8 @@ def test_plan_replay_equals_cold_walk(case):
     moves a directory generation but no resolution (a new file in
     ``/usr/lib``) still replays: the book's recording re-binds."""
     kwargs, change, as_limit, replays = TWIN_CASES[case]
+    if callable(as_limit):
+        as_limit = as_limit()
     outcomes = []
     for clear in (False, True):
         system = build_cider(**kwargs)
@@ -375,6 +427,75 @@ def test_plan_replay_equals_cold_walk(case):
         assert 0 < len(cold["atfork"]) < TARGET_LIBRARY_COUNT
     if case.startswith("ram-envelope"):
         assert cold["ram_used"] > 0
+    if case == "rlimit-as-at-total":
+        assert (cold_result, cold["total_bytes"]) == (0, as_limit)
+    if case == "rlimit-as-one-byte-short":
+        # Only the last library's map overshoots the limit.
+        assert len(cold["atfork"]) == TARGET_LIBRARY_COUNT - 1
+
+
+def _calls_inside_replay(monkeypatch, system, as_limit=None):
+    """Exec ``/bin/hello-ios`` on ``system``; how many times
+    ``AddressSpace.map_vma`` and ``VirtualClock.charge_ps`` ran inside
+    ``Dyld._replay``, and how many replays there were."""
+    calls = {"replays": 0, "map_vma": 0, "charge_ps": 0}
+    inside = []
+
+    def counted(name, method):
+        def wrapper(*args, **kwargs):
+            if inside:
+                calls[name] += 1
+            return method(*args, **kwargs)
+
+        return wrapper
+
+    replay = Dyld._replay
+
+    def traced_replay(self, ctx, recording):
+        calls["replays"] += 1
+        inside.append(recording)
+        try:
+            return replay(self, ctx, recording)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(Dyld, "_replay", traced_replay)
+    monkeypatch.setattr(AddressSpace, "map_vma", counted("map_vma", AddressSpace.map_vma))
+    monkeypatch.setattr(
+        VirtualClock, "charge_ps", counted("charge_ps", VirtualClock.charge_ps)
+    )
+    try:
+        result = _exec_hello(system, as_limit)
+    finally:
+        monkeypatch.undo()
+    return result, calls
+
+
+def test_a_warm_exec_replays_in_one_step_only_where_no_map_can_fail(monkeypatch):
+    """Where no map can fail, a replay maps and charges in one step each,
+    whatever the closure's size; under a RAM envelope, or an RLIMIT_AS
+    that the closure overshoots, it maps library by library."""
+    total = _hello_total_bytes()
+    system = build_cider()
+    try:
+        assert _exec_hello(system) == 0  # warm: the book holds the walk
+        assert _calls_inside_replay(monkeypatch, system) == (
+            0,
+            {"replays": 1, "map_vma": 0, "charge_ps": 1},
+        )
+        assert _calls_inside_replay(monkeypatch, system, total) == (
+            0,
+            {"replays": 1, "map_vma": 0, "charge_ps": 1},
+        )
+        result, calls = _calls_inside_replay(monkeypatch, system, total - 1)
+        assert result == ("errno", E.ENOMEM)
+        assert calls["map_vma"] == TARGET_LIBRARY_COUNT
+        _envelope_installed(512, system)
+        result, calls = _calls_inside_replay(monkeypatch, system)
+        assert (result, calls["replays"]) == (0, 1)
+        assert calls["map_vma"] == TARGET_LIBRARY_COUNT
+    finally:
+        system.shutdown()
 
 
 def test_booted_cider_execs_resolve_no_dylib():
@@ -418,7 +539,7 @@ def test_snapshot_clones_validate_the_plan_against_their_own_vfs():
         plans = []
         for clone in clones:
             (plan,) = clone.ios.dyld.plans.values()
-            assert next(iter(plan.dirs)) is clone.kernel.vfs.root
+            assert plan.dirs[0] is clone.kernel.vfs.root
             plans.append(plan)
         clones[0].kernel.vfs.create_file("/usr/lib/libNew.dylib", b"x")
         resolved = []

@@ -115,6 +115,28 @@ class TestINetStream:
         result, err, _second = run_elf(vanilla, body)
         assert result == -1 and err == E.EADDRINUSE
 
+    @pytest.mark.parametrize("run", [run_elf, run_macho])
+    def test_unix_bind_to_a_bound_path_is_eaddrinuse_and_unbound(self, cider, run):
+        """A second bind to a socket's path fails and leaves the new
+        socket as it was before any bind: not listening, and nameless."""
+        path = f"/tmp/bound-{run.__name__}.sock"
+
+        def body(ctx):
+            libc = ctx.libc
+            first = libc.socket()
+            assert libc.bind(first, path) == 0
+            libc.close(first)
+            second = libc.socket()
+            result = libc.bind(second, path)
+            err = libc.errno
+            listened = libc.listen(second)
+            listen_err = libc.errno
+            name = libc.getsockname(second)
+            libc.close(second)
+            return result, err, listened, listen_err, name
+
+        assert run(cider, body) == (-1, E.EADDRINUSE, -1, E.EOPNOTSUPP, None)
+
     def test_route_to_nowhere_is_ehostunreach(self, vanilla):
         def body(ctx):
             libc = ctx.libc
